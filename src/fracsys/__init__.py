@@ -33,6 +33,7 @@ from .forcing import (
 from .grids import (
     Field,
     Grid,
+    RegimeOperator,
     SystemParams,
     coupling_integral,
     frac_laplacian,
@@ -44,7 +45,6 @@ from .grids import (
     make_grid,
     pair_norm,
     pow_plus,
-    regime_multiplier,
 )
 from .options import ConvergenceError, MinimizeOpts
 from .profiles import (

@@ -8,6 +8,7 @@ status: 0 all good, 1 numerical failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,14 +84,20 @@ class ExperimentConfig:
             value = str(raw)
         else:
             value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {raw!r}")
         setattr(self, key, value)
 
     def as_dict(self):
-        return {
+        """The fully resolved config: an inferred gamma appears as the
+        regime it resolves to."""
+        out = {
             k: getattr(self, k)
             for k in self.__dataclass_fields__
             if not k.startswith("_")
         }
+        out["gamma"] = self.params().gamma
+        return out
 
     def params(self):
         if self.alpha <= 1.0 or self.beta <= 1.0:
@@ -111,7 +118,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
     def opts(self):
-        return MinimizeOpts(tol=self.tol, max_iter=self.max_iter, seed=self.seed)
+        return MinimizeOpts(tol=self.tol, max_iter=self.max_iter)
 
     def density(self, which, grid):
         kind = getattr(self, f"{which}_kind")
@@ -148,24 +155,17 @@ def parse_config_file(path):
     return cfg
 
 
-_FLAG_TO_KEY = {
-    "dimension": "dimension",
-    "s": "s",
-    "alpha": "alpha",
-    "beta": "beta",
-    "grid_size": "grid_size",
-    "box_length": "box_length",
-    "tol": "tol",
-    "max_iter": "max_iter",
-    "output": "output",
-    "seed": "seed",
-}
+# config keys that a command-line flag of the same name can override
+_FLAG_KEYS = (
+    "dimension", "s", "alpha", "beta", "grid_size", "box_length",
+    "tol", "max_iter", "output", "seed",
+)
 
 
 def build_config(args):
     cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+    for key in _FLAG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             cfg.set(key, value)
     return cfg
@@ -238,7 +238,6 @@ def cmd_bubble(cfg):
         "core_height": float(w.values.max()),
     }
     dump_json(meta, out / "bubble_meta.json")
-    _write_kv(out / "bubble_meta.txt", meta)
     print(f"bubble: decay fit {fmt(decay)} (tail exponent N-2s = "
           f"{fmt(params.dimension - 2.0 * params.s)})")
     return EXIT_OK
@@ -264,7 +263,6 @@ def cmd_ground_state(cfg):
         "max_value": float(w.values.max()),
     }
     dump_json(meta, out / "ground_state_meta.json")
-    _write_kv(out / "ground_state_meta.txt", meta)
     print(
         f"ground-state: residual {fmt(res)}, decay fit {fmt(decay)} "
         f"(tail exponent N+2s = {fmt(params.dimension + 2.0 * params.s)})"
@@ -319,20 +317,6 @@ def cmd_verify(cfg):
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
         all_ok = all_ok and r.passed
     return EXIT_OK if all_ok else EXIT_NUMERICAL
-
-
-def _write_kv(path, mapping, prefix=""):
-    lines = []
-
-    def emit(obj, prefix):
-        for k, v in obj.items():
-            if isinstance(v, dict):
-                emit(v, f"{prefix}{k}.")
-            else:
-                lines.append(f"{prefix}{k} = {fmt(v) if isinstance(v, (int, float)) else v}")
-
-    emit(mapping, prefix)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

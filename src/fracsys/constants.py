@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import (
-    Field,
-    coupling_integral,
-    lp_norm,
-    multiplier_quad,
-    regime_multiplier,
-)
+from .grids import Field, coupling_integral, lp_norm
 from .options import ConvergenceError, MinimizeOpts
 
 __all__ = [
@@ -56,8 +50,7 @@ def sobolev_quotient(u, params):
     gamma=0: seminorm^2 / ||u||_{2N/(N-2s)}^2; gamma=1: full-norm^2 over
     ||u||_{alpha+beta}^2.
     """
-    m = regime_multiplier(u.grid, params.s, params.gamma)
-    num = multiplier_quad(u, m)
+    num = u.grid.operator(params.s, params.gamma).quad(u.values)
     den = lp_norm(u, params.coupling_exponent) ** 2
     if den == 0:
         raise ValueError("quotient of the zero field")
@@ -68,8 +61,8 @@ def vector_quotient(u, v, params):
     """Coupled quotient of a pair against the mixed integral."""
     if u.grid != v.grid:
         raise ValueError("grid mismatch")
-    m = regime_multiplier(u.grid, params.s, params.gamma)
-    num = multiplier_quad(u, m) + multiplier_quad(v, m)
+    op = u.grid.operator(params.s, params.gamma)
+    num = op.quad(u.values) + op.quad(v.values)
     p = params.coupling_exponent
     den = coupling_integral(u, v, params.alpha, params.beta, positive_parts=False)
     if den <= 0:
@@ -210,24 +203,6 @@ def _descend(x0_list, value_fn, grad_fn, precond_fn, renorm_fn, opts):
     )
 
 
-def _precond_builder(grid, params):
-    m = regime_multiplier(grid, params.s, params.gamma)
-    inv = np.zeros_like(m)
-    nz = m > 0
-    inv[nz] = 1.0 / m[nz]
-
-    def precond(gs):
-        out = []
-        for g in gs:
-            d = np.fft.ifftn(inv * np.fft.fftn(g)).real
-            if params.gamma == 0:
-                d -= d.mean()
-            out.append(d)
-        return out
-
-    return m, precond
-
-
 def _default_seed_field(grid):
     r = grid.radius_from(np.zeros(grid.dimension))
     return np.exp(-(r**2) / 4.0)
@@ -246,14 +221,13 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
     cv = grid.cell_volume
-    m, precond = _precond_builder(grid, params)
+    op = grid.operator(params.s, params.gamma)
 
-    def apply_m(x):
-        return np.fft.ifftn(m * np.fft.fftn(x)).real
-
-    def quad(x):
-        xh = np.fft.fftn(x)
-        return float(cv / grid.num_points * np.sum(m * np.abs(xh) ** 2))
+    def precond(gs):
+        ds = [op.solve(g) for g in gs]
+        if params.gamma == 0:
+            ds = [d - d.mean() for d in ds]
+        return ds
 
     if mode == "scalar":
 
@@ -267,12 +241,12 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
             return [x / n]
 
         def value(xs):
-            return quad(xs[0])
+            return op.quad(xs[0])
 
         def grad(xs):
             (x,) = xs
-            q = quad(x)
-            return [2.0 * (apply_m(x) - q * np.sign(x) * np.abs(x) ** (p - 1.0))]
+            q = op.quad(x)
+            return [2.0 * (op.apply(x) - q * np.sign(x) * np.abs(x) ** (p - 1.0))]
 
         seeds = [start.values if start is not None else _default_seed_field(grid)]
     else:
@@ -289,15 +263,15 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
             return [x * t, y * t]
 
         def value(xs):
-            return quad(xs[0]) + quad(xs[1])
+            return op.quad(xs[0]) + op.quad(xs[1])
 
         def grad(xs):
             x, y = xs
             r = value(xs)
-            gx = 2.0 * apply_m(x) - r * (2.0 * a / p) * np.sign(x) * np.abs(x) ** (
+            gx = 2.0 * op.apply(x) - r * (2.0 * a / p) * np.sign(x) * np.abs(x) ** (
                 a - 1.0
             ) * np.abs(y) ** b
-            gy = 2.0 * apply_m(y) - r * (2.0 * b / p) * np.sign(y) * np.abs(y) ** (
+            gy = 2.0 * op.apply(y) - r * (2.0 * b / p) * np.sign(y) * np.abs(y) ** (
                 b - 1.0
             ) * np.abs(x) ** a
             return [gx, gy]

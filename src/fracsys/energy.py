@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import dual_pairing
-from .grids import (
-    Field,
-    apply_multiplier,
-    coupling_integral,
-    multiplier_quad,
-    pow_plus,
-    regime_multiplier,
-)
+from .grids import Field, coupling_integral, pow_plus
 
 __all__ = ["EnergyBreakdown", "energy", "gradient", "hessian_quadform", "small_t_sign_scan"]
 
@@ -66,8 +59,8 @@ def energy(u, v, f, g, params, variant="J"):
     _check(u, v, params)
     if variant not in ("I", "J"):
         raise ValueError("variant must be 'I' or 'J'")
-    m = regime_multiplier(u.grid, params.s, params.gamma)
-    quad = 0.5 * (multiplier_quad(u, m) + multiplier_quad(v, m))
+    op = u.grid.operator(params.s, params.gamma)
+    quad = 0.5 * (op.quad(u.values) + op.quad(v.values))
     p = params.coupling_exponent
     coup = coupling_integral(
         u, v, params.alpha, params.beta, positive_parts=(variant == "J")
@@ -88,7 +81,7 @@ def gradient(u, v, f, g, params, variant="J"):
     positive parts.
     """
     _check(u, v, params)
-    m = regime_multiplier(u.grid, params.s, params.gamma)
+    op = u.grid.operator(params.s, params.gamma)
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
     if variant == "J":
@@ -99,8 +92,8 @@ def gradient(u, v, f, g, params, variant="J"):
         cv = np.sign(v.values) * np.abs(v.values) ** (b - 1.0) * np.abs(u.values) ** a
     else:
         raise ValueError("variant must be 'I' or 'J'")
-    gu = apply_multiplier(u, m).values - (a / p) * cu
-    gv = apply_multiplier(v, m).values - (b / p) * cv
+    gu = op.apply(u.values) - (a / p) * cu
+    gv = op.apply(v.values) - (b / p) * cv
     if f is not None:
         gu = gu - f.density.values
     if g is not None:
@@ -123,8 +116,8 @@ def hessian_quadform(u, v, phi, psi, params):
         raise ValueError("grid mismatch")
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
-    m = regime_multiplier(u.grid, params.s, params.gamma)
-    norm_sq = multiplier_quad(phi, m) + multiplier_quad(psi, m)
+    op = u.grid.operator(params.s, params.gamma)
+    norm_sq = op.quad(phi.values) + op.quad(psi.values)
     cv = u.grid.cell_volume
     uu, vv = u.values, v.values
     t_uu = np.sum(pow_plus(uu, a - 2.0) * pow_plus(vv, b) * phi.values**2)

@@ -58,8 +58,9 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        # wrap so the encoder below can format deterministically
-        return _Float(float(obj))
+        # JSON has no nan or inf: those become null.  Wrap the rest so the
+        # encoder below can format them deterministically.
+        return _Float(obj) if np.isfinite(obj) else None
     return obj
 
 
@@ -68,7 +69,8 @@ class _Float(float):
 
 
 def dump_json(obj, path):
-    """Write JSON with all floats at 17 significant digits."""
+    """Write JSON with all floats at 17 significant digits and non-finite
+    floats as null."""
 
     def encode(o, indent=0):
         pad = "  " * indent

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, apply_multiplier, l2_inner, multiplier_quad
+from .grids import Field, l2_inner
 
 SUPPORT_EPS_REL = 1e-12
 
@@ -56,15 +56,6 @@ class Functional:
         return self.density.grid
 
 
-def _dual_weights(grid, s):
-    q2s = grid.freq_abs_pow(2.0 * s)
-    w_hdot = np.zeros_like(q2s)
-    nz = q2s > 0
-    w_hdot[nz] = 1.0 / q2s[nz]
-    w_hfull = 1.0 / (1.0 + q2s)
-    return w_hdot, w_hfull
-
-
 def make_forcing(density, params):
     """Validate a density and cache its dual norms.
 
@@ -80,9 +71,9 @@ def make_forcing(density, params):
     if params.gamma == 0:
         mean_removed = float(vals.mean())
         density = Field(density.grid, vals - mean_removed)
-    w_hdot, w_hfull = _dual_weights(density.grid, params.s)
-    n_hdot = float(np.sqrt(max(multiplier_quad(density, w_hdot), 0.0)))
-    n_hfull = float(np.sqrt(max(multiplier_quad(density, w_hfull), 0.0)))
+    grid = density.grid
+    n_hdot = grid.operator(params.s, 0).dual_norm(density.values)
+    n_hfull = grid.operator(params.s, 1).dual_norm(density.values)
     ref = vals.max()
     mask = vals > SUPPORT_EPS_REL * ref
     mask.flags.writeable = False
@@ -141,8 +132,8 @@ def riesz_representer(f, params):
     gamma=0: multiplier |xi|^(-2s) off the zero mode; gamma=1: the inverse
     of 1 + |xi|^(2s).
     """
-    w_hdot, w_hfull = _dual_weights(f.grid, params.s)
-    return apply_multiplier(f.density, w_hdot if params.gamma == 0 else w_hfull)
+    op = f.grid.operator(params.s, params.gamma)
+    return Field(f.grid, op.solve(f.density.values))
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,10 @@ __all__ = [
     "hs_full_norm",
     "lp_norm",
     "l2_inner",
-    "integrate",
     "coupling_integral",
-    "pos_part",
     "pow_plus",
-    "regime_multiplier",
+    "RegimeOperator",
     "pair_norm",
-    "apply_multiplier",
-    "multiplier_quad",
-    "spectral_coefficients",
 ]
 
 
@@ -110,6 +105,19 @@ class Grid:
         out[nz] = q[nz] ** (power / 2.0)
         return out
 
+    @cached_property
+    def _operators(self):
+        return {}
+
+    def operator(self, s, gamma):
+        """The regime operator |xi|^(2s) + gamma on this grid, built once per
+        (s, gamma) and kept like the other derived arrays."""
+        op = self._operators.get((s, gamma))
+        if op is None:
+            # setdefault keeps the first one stored if threads race here
+            op = self._operators.setdefault((s, gamma), RegimeOperator(self, s, gamma))
+        return op
+
     def radius_from(self, center):
         """Distance from ``center`` at every grid point (no periodic wrap)."""
         center = np.atleast_1d(np.asarray(center, dtype=float))
@@ -163,9 +171,6 @@ class Field:
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def with_values(self, values):
-        return Field(self.grid, values)
 
     def __add__(self, other):
         return Field(self.grid, self.values + _raw(other, self.grid))
@@ -266,48 +271,60 @@ def from_powers(dimension, s, alpha, beta):
 # spectral machinery
 
 
-def spectral_coefficients(u):
-    return np.fft.fftn(_raw(u))
+class RegimeOperator:
+    """The regime operator (-Delta)^s + gamma as the Fourier multiplier
+    |xi|^(2s) + gamma, with its inverse and its quadratic and dual forms.
 
-
-def apply_multiplier(u, multiplier):
-    """Inverse transform of multiplier * u_hat, as a Field."""
-    grid = u.grid
-    out = np.fft.ifftn(multiplier * np.fft.fftn(u.values)).real
-    return Field(grid, out)
-
-
-def multiplier_quad(u, multiplier):
-    """Quadratic form integral(u * Op u) for a Fourier multiplier Op.
-
-    Evaluated in frequency space: cell_volume / P^N * sum(m |u_hat|^2),
-    which equals the physical-space quadrature exactly (discrete Parseval).
+    The symbol and the inverse are read-only; the inverse is zero on the
+    gamma=0 zero mode, so ``solve`` returns the mean-zero solution there.
+    Every method takes and returns raw arrays on the grid's shape.
     """
-    grid = u.grid
-    uh = np.fft.fftn(u.values)
-    return float(
-        grid.cell_volume / grid.num_points * np.sum(multiplier * np.abs(uh) ** 2)
-    )
+
+    def __init__(self, grid, s, gamma):
+        symbol = grid.freq_abs_pow(2.0 * s) + float(gamma)
+        inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
+        symbol.flags.writeable = False
+        inverse.flags.writeable = False
+        self.symbol, self.inverse = symbol, inverse
+        # quadrature weight of one squared Fourier coefficient; the grid
+        # itself is not kept, so a grid and its cached operators form no cycle
+        self._weight = grid.cell_volume / grid.num_points
+
+    def apply(self, x):
+        """Op x."""
+        return np.fft.ifftn(self.symbol * np.fft.fftn(x)).real
+
+    def solve(self, x):
+        """Op^{-1} x; at gamma=0 the mean-zero y with Op y = x - mean(x)."""
+        return np.fft.ifftn(self.inverse * np.fft.fftn(x)).real
+
+    def quad(self, x):
+        """Quadratic form integral(x * Op x).
+
+        Evaluated in frequency space: cell_volume / P^N * sum(m |x_hat|^2),
+        which equals the physical-space quadrature exactly (discrete Parseval).
+        """
+        return self._form(x, self.symbol)
+
+    def dual_norm(self, x):
+        """Norm of the density x in the dual of the regime norm: the square
+        root of integral(x * Op^{-1} x)."""
+        return float(np.sqrt(max(self._form(x, self.inverse), 0.0)))
+
+    def _form(self, x, weights):
+        xh = np.fft.fftn(x)
+        return float(self._weight * np.sum(weights * np.abs(xh) ** 2))
 
 
 def frac_laplacian(u, s):
     """Fractional Laplacian as the multiplier |xi|^(2s); zero mode -> 0."""
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    return apply_multiplier(u, u.grid.freq_abs_pow(2.0 * s))
-
-
-def regime_multiplier(grid, s, gamma):
-    """Symbol of the regime operator |xi|^(2s) + gamma."""
-    return grid.freq_abs_pow(2.0 * s) + float(gamma)
+    return Field(u.grid, u.grid.operator(s, 0).apply(u.values))
 
 
 # ---------------------------------------------------------------------------
 # norms and integrals
-
-
-def integrate(u):
-    return float(u.grid.cell_volume * np.sum(u.values))
 
 
 def l2_inner(u, v):
@@ -330,7 +347,7 @@ def hs_seminorm(u, s):
     """
     if not (0.0 < s <= 1.0):
         raise ValueError(f"s must lie in (0, 1], got {s}")
-    return float(np.sqrt(max(multiplier_quad(u, u.grid.freq_abs_pow(2.0 * s)), 0.0)))
+    return float(np.sqrt(max(u.grid.operator(s, 0).quad(u.values), 0.0)))
 
 
 def hs_full_norm(u, s):
@@ -341,13 +358,8 @@ def hs_full_norm(u, s):
 def pair_norm(u, v, params):
     """Product-space norm of a pair in the regime inner product:
     seminorms when gamma=0, full norms when gamma=1."""
-    m = regime_multiplier(u.grid, params.s, params.gamma)
-    _same_grid(u, v)
-    return float(np.sqrt(max(multiplier_quad(u, m) + multiplier_quad(v, m), 0.0)))
-
-
-def pos_part(values):
-    return np.maximum(values, 0.0)
+    op = _same_grid(u, v).operator(params.s, params.gamma)
+    return float(np.sqrt(max(op.quad(u.values) + op.quad(v.values), 0.0)))
 
 
 def pow_plus(values, exponent):

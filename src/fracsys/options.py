@@ -23,9 +23,3 @@ class MinimizeOpts:
     step0: float = 1.0
     armijo: float = 1e-4
     max_step: float = 4.0
-    seed: int = 0
-
-    def replace(self, **kw):
-        from dataclasses import replace
-
-        return replace(self, **kw)

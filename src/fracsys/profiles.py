@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import minimize_quotient
-from .grids import Field, apply_multiplier, regime_multiplier
+from .grids import Field
 from .options import ConvergenceError, MinimizeOpts
 
 __all__ = [
@@ -92,25 +92,19 @@ def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):
     result = minimize_quotient(grid, params, mode="scalar", opts=seed_opts)
     v = np.abs(result.fields[0].values)
 
-    m = regime_multiplier(grid, params.s, params.gamma)
+    op = grid.operator(params.s, params.gamma)
     cv = grid.cell_volume
-
-    def apply_m(x):
-        return np.fft.ifftn(m * np.fft.fftn(x)).real
-
-    def apply_minv(x):
-        return np.fft.ifftn(np.fft.fftn(x) / m).real
 
     w = None
     for it in range(1, opts.max_iter + 1):
-        v = apply_minv(v ** (p - 1.0))
+        v = op.solve(v ** (p - 1.0))
         v = v / (cv * np.sum(np.abs(v) ** p)) ** (1.0 / p)
-        Av = apply_m(v)
+        Av = op.apply(v)
         vp = v ** (p - 1.0)
         lam = float(np.sum(Av * vp) / np.sum(vp * vp))
         mu = lam ** (1.0 / (p - 2.0))
         w = mu * v
-        res = np.sqrt(cv * np.sum((apply_m(w) - np.maximum(w, 0.0) ** (p - 1.0)) ** 2))
+        res = np.sqrt(cv * np.sum((op.apply(w) - np.maximum(w, 0.0) ** (p - 1.0)) ** 2))
         if res <= opts.tol:
             return Field(grid, w)
     raise ConvergenceError(
@@ -120,9 +114,8 @@ def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):
 
 def ground_state_residual(w, params):
     """L2 residual of the ground-state equation at w."""
-    m = regime_multiplier(w.grid, params.s, params.gamma)
     p = params.coupling_exponent
-    lhs = apply_multiplier(w, m).values
+    lhs = w.grid.operator(params.s, params.gamma).apply(w.values)
     rhs = np.maximum(w.values, 0.0) ** (p - 1.0)
     return float(np.sqrt(w.grid.cell_volume * np.sum((lhs - rhs) ** 2)))
 

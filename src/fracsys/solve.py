@@ -17,7 +17,7 @@ import numpy as np
 from .constants import ConstantsReport, measure_constants
 from .energy import energy, gradient
 from .forcing import riesz_representer, scale_functional
-from .grids import Field, lp_norm, pair_norm, regime_multiplier
+from .grids import Field, lp_norm, pair_norm
 from .options import ConvergenceError, MinimizeOpts
 
 __all__ = [
@@ -82,20 +82,41 @@ def _grad_l2(gu, gv, params):
     return float(np.sqrt(cv * (np.sum(a * a) + np.sum(b * b))))
 
 
+def _step(u, v, du, dv, tau, params, r):
+    """Move the pair by tau along the descent direction, projecting it back
+    onto the ball of radius PROJECTION_FRACTION * r if it leaves."""
+    un = Field(u.grid, u.values - tau * du)
+    vn = Field(v.grid, v.values - tau * dv)
+    nrm = pair_norm(un, vn, params)
+    projected = nrm > PROJECTION_FRACTION * r
+    if projected:
+        sc = PROJECTION_FRACTION * r / nrm
+        un, vn = sc * un, sc * vn
+    return un, vn, projected
+
+
 def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=None):
     """Minimize the auxiliary energy over the ball and certify the minimizer.
 
     constants may carry a precomputed ConstantsReport for this grid/params;
-    otherwise both quotient minimizations run first.  Exceeding the
-    smallness threshold only warns.  Raises ConvergenceError when the
-    gradient tolerance is not reached with the iterate interior; an active
-    ball projection at the end instead returns converged=False with
-    boundary_active set.
+    otherwise both quotient minimizations run first.  A report measured on
+    another grid or in the other regime raises ValueError, since its r and
+    d belong to another problem.  Exceeding the smallness threshold only
+    warns.  Raises ConvergenceError when the gradient tolerance is not
+    reached with the iterate interior; an active ball projection at the end
+    instead returns converged=False with boundary_active set.
     """
     if constants is None:
         constants = measure_constants(grid, params)
     if not isinstance(constants, ConstantsReport):
         raise TypeError("constants must be a ConstantsReport")
+    measured_on = (constants.grid_dimension, constants.grid_points, constants.grid_box_length)
+    solving_on = (grid.dimension, grid.points_per_axis, grid.box_length)
+    if measured_on != solving_on or constants.regime != params.gamma:
+        raise ValueError(
+            f"constants measured on grid {measured_on} with gamma={constants.regime} "
+            f"cannot certify a solve on grid {solving_on} with gamma={params.gamma}"
+        )
     r = constants.radius
     d = constants.threshold
     norm_f = f.norm(params.gamma) if f is not None else 0.0
@@ -107,10 +128,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
             "interior-minimizer certificate not guaranteed"
         )
 
-    m = regime_multiplier(grid, params.s, params.gamma)
-    minv = np.zeros_like(m)
-    nz = m > 0
-    minv[nz] = 1.0 / m[nz]
+    op = grid.operator(params.s, params.gamma)
     cv = grid.cell_volume
 
     if start is None:
@@ -130,8 +148,8 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         if gn <= opts.tol:
             iterations = it
             break
-        du = np.fft.ifftn(minv * np.fft.fftn(gu.values)).real
-        dv = np.fft.ifftn(minv * np.fft.fftn(gv.values)).real
+        du = op.solve(gu.values)
+        dv = op.solve(gv.values)
         slope = float(cv * (np.sum(gu.values * du) + np.sum(gv.values * dv)))
         # decreases below the energy's round-off scale cannot be certified
         # by the Armijo test; switch to gradient-norm polishing there
@@ -140,13 +158,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         for _ in range(60):
             if opts.armijo * tau * slope <= energy_floor:
                 break
-            un = Field(grid, u.values - tau * du)
-            vn = Field(grid, v.values - tau * dv)
-            nrm = pair_norm(un, vn, params)
-            projected = nrm > PROJECTION_FRACTION * r
-            if projected:
-                sc = PROJECTION_FRACTION * r / nrm
-                un, vn = sc * un, sc * vn
+            un, vn, projected = _step(u, v, du, dv, tau, params, r)
             En = energy(un, vn, f, g, params).total
             if En <= E - opts.armijo * tau * slope:
                 moved = True
@@ -155,13 +167,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         if not moved:
             # full preconditioned step: locally contractive near the
             # minimizer, accepted while it strictly shrinks the gradient
-            un = Field(grid, u.values - du)
-            vn = Field(grid, v.values - dv)
-            nrm = pair_norm(un, vn, params)
-            projected = nrm > PROJECTION_FRACTION * r
-            if projected:
-                sc = PROJECTION_FRACTION * r / nrm
-                un, vn = sc * un, sc * vn
+            un, vn, projected = _step(u, v, du, dv, 1.0, params, r)
             gun, gvn = gradient(un, vn, f, g, params)
             if _grad_l2(gun, gvn, params) < gn:
                 u, v = un, vn

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracsys import Field, load_field, make_grid, save_field
+from fracsys.fieldio import dump_json
 from fracsys.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config_file
 from fracsys.verify import run_all_checks
 from fracsys import SystemParams
@@ -42,6 +43,14 @@ class TestFieldIO:
         assert lines[0] == "dimension,points_per_axis,box_length"
         assert lines[1] == "1,32,10"
         assert len(lines) == 2 + grid.num_points
+
+    def test_dump_json_writes_nonfinite_as_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        payload = {"a": float("nan"), "b": [np.inf, -np.inf], "c": np.float64(0.5)}
+        text = dump_json(payload, tmp_path / "r.json")
+        assert json.loads(text, parse_constant=reject) == {"a": None, "b": [None, None], "c": 0.5}
 
 
 class TestConfigParsing:
@@ -85,6 +94,21 @@ class TestConfigParsing:
         payload = json.loads((out / "constants.json").read_text())
         assert payload["config"]["alpha"] == 2.0
 
+    @pytest.mark.parametrize(
+        "flags,cfg_text",
+        [
+            (["--tol", "nan"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nf_fraction_of_d = inf\n"),
+        ],
+        ids=["tol-nan-flag", "fraction-inf-in-file"],
+    )
+    def test_nonfinite_value_is_config_error(self, tmp_path, capsys, flags, cfg_text):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(cfg_text)
+        args = ["solve", "--config", str(cfg_file), *flags, "--output", str(tmp_path / "o")]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_constants_writes_reports(self, tmp_path):
@@ -116,6 +140,7 @@ class TestSubcommands:
         assert code == EXIT_OK
         meta = json.loads((out / "bubble_meta.json").read_text())
         assert abs(meta["decay_exponent_fit"] - 0.5) / 0.5 <= 0.05
+        assert meta["config"]["gamma"] == 0
         # subcritical powers cannot build the critical profile
         code2 = run_cli(
             ["bubble", "--alpha", "1.5", "--beta", "1.5", "--output", str(tmp_path / "b2")]
@@ -148,6 +173,7 @@ class TestSubcommands:
         assert code == EXIT_OK
         report = json.loads((out / "solve_report.json").read_text())
         assert report["report"]["converged"] is True
+        assert report["config"]["gamma"] == 1
         assert report["report"]["energy"] < 0
         assert report["positivity"]["all_positive"] is True
         assert (out / "u_bar.csv").exists()

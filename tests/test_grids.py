@@ -10,6 +10,7 @@ from fracsys import (
     frac_laplacian,
     hs_full_norm,
     hs_seminorm,
+    l2_inner,
     lp_norm,
     make_grid,
 )
@@ -168,6 +169,43 @@ class TestFracLaplacian:
         exact = np.array([pv_frac_laplacian_1d(gaussian, g.axis_coords[i], s) for i in idx])
         rel = np.max(np.abs(spectral[idx] - exact)) / np.max(np.abs(exact))
         assert rel <= 1e-3
+
+
+class TestRegimeOperator:
+    def test_cached_per_order_and_regime(self, grid64):
+        op = grid64.operator(0.25, 1)
+        assert grid64.operator(0.25, 1) is op
+        assert grid64.operator(0.25, 0) is not op
+        assert grid64.operator(0.5, 1) is not op
+
+    def test_arrays_read_only(self, grid64):
+        op = grid64.operator(0.25, 0)
+        for arr in (op.symbol, op.inverse):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        # the gamma=0 zero mode carries no inverse
+        assert op.symbol.flat[0] == 0.0 and op.inverse.flat[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "dim,points,s,gamma",
+        [(1, 64, 0.25, 1), (1, 64, 0.25, 0), (2, 32, 0.5, 1), (2, 32, 0.5, 0), (3, 16, 0.75, 0)],
+    )
+    def test_solve_inverts_apply(self, dim, points, s, gamma):
+        grid = make_grid(dim, points, 20.0)
+        x = smooth_field(grid, np.random.default_rng(5)).values
+        if gamma == 0:
+            x = x - x.mean()
+        op = grid.operator(s, gamma)
+        scale = np.max(np.abs(x))
+        np.testing.assert_allclose(op.solve(op.apply(x)), x, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(op.apply(op.solve(x)), x, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_quad_is_inner_product_with_apply(self, grid64, gamma):
+        x = smooth_field(grid64, np.random.default_rng(6))
+        op = grid64.operator(0.3, gamma)
+        direct = l2_inner(x, Field(grid64, op.apply(x.values)))
+        assert op.quad(x.values) == pytest.approx(direct, rel=1e-12)
 
 
 class TestNorms:

@@ -237,3 +237,26 @@ class TestTwoDimensions:
         assert report.ball_fraction < 1
         res = residual(report.u_bar, report.v_bar, f, f, params)
         assert res <= 10 * 1e-8
+
+
+class TestConstantsProvenance:
+    """A ConstantsReport certifies only the grid and regime it was measured on."""
+
+    def test_report_from_another_box_rejected(self):
+        params = SystemParams(1, 0.25, 1.5, 1.5, 1)
+        constants = measure_constants(make_grid(1, 256, 40.0), params)
+        grid = make_grid(1, 256, 20.0)
+        f = make_forcing(gaussian_density(grid, width=2.0), params)
+        with pytest.raises(ValueError, match="constants measured on"):
+            solve_system(f, f, params, grid, constants=constants)
+        with pytest.raises(ValueError, match="constants measured on"):
+            neumann_series_sanity([1e-2, 1e-3], f, f, params, grid, constants=constants)
+
+    def test_report_from_the_other_regime_rejected(self):
+        grid = make_grid(1, 256, 40.0)
+        full = SystemParams(1, 0.25, 2.0, 2.0, 1)
+        critical = SystemParams(1, 0.25, 2.0, 2.0, 0)
+        constants = measure_constants(grid, full)
+        f = make_forcing(gaussian_density(grid, width=2.0), critical)
+        with pytest.raises(ValueError, match="constants measured on"):
+            solve_system(f, f, critical, grid, constants=constants)
