@@ -74,6 +74,7 @@ class ExperimentConfig:
 
     _INT_KEYS = {"dimension", "gamma", "grid_size", "max_iter", "seed", "f_mode", "g_mode", "sweep_pairs"}
     _STR_KEYS = {"output", "f_kind", "g_kind"}
+    _MINIMUM = {"tol": 0.0, "max_iter": 1}
 
     def set(self, key, raw):
         if not hasattr(self, key) or key.startswith("_"):
@@ -86,6 +87,8 @@ class ExperimentConfig:
             value = float(raw)
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {raw!r}")
+        if key in self._MINIMUM and value < self._MINIMUM[key]:
+            raise ConfigError(f"{key} must be at least {self._MINIMUM[key]}, got {raw!r}")
         setattr(self, key, value)
 
     def as_dict(self):
@@ -187,10 +190,9 @@ def cmd_constants(cfg):
     out = _outdir(cfg)
     opts = MinimizeOpts(tol=min(cfg.tol, 1e-8), max_iter=cfg.max_iter)
     report = measure_constants(grid, params, opts=opts)
-    payload = {"config": cfg.as_dict(), "report": report.as_dict()}
-    dump_json(payload, out / "constants.json")
-    header = list(report.as_dict().keys())
-    write_csv(out / "constants.csv", header, [list(report.as_dict().values())])
+    row = report.as_dict()
+    dump_json({"config": cfg.as_dict(), "report": row}, out / "constants.json")
+    write_csv(out / "constants.csv", list(row), [list(row.values())])
     if cfg.sweep_pairs > 0:
         rows = coercivity_sweep(
             lambda a, b: SystemParams(params.dimension, params.s, a, b, params.gamma),

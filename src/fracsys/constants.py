@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, coupling_integral, lp_norm
-from .options import ConvergenceError, MinimizeOpts
+from .grids import Field, Grid, SystemParams, coupling_integral, lp_norm
+from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
 
 __all__ = [
     "ConstantsReport",
@@ -172,7 +172,7 @@ def _descend(x0_list, value_fn, grad_fn, precond_fn, renorm_fn, opts):
     xs = renorm_fn([x.copy() for x in x0_list])
     val = value_fn(xs)
     trace = [val]
-    tau = opts.step0
+    tau = STEP0
     for it in range(1, opts.max_iter + 1):
         gs = grad_fn(xs)
         ds = precond_fn(gs)
@@ -195,7 +195,7 @@ def _descend(x0_list, value_fn, grad_fn, precond_fn, renorm_fn, opts):
         rel_drop = (val - new_val) / max(abs(val), 1e-300)
         xs, val = trial, new_val
         trace.append(val)
-        tau = min(tau * 1.5, opts.max_step)
+        tau = min(tau * 1.5, MAX_STEP)
         if rel_drop < opts.tol:
             return xs, val, it, True, trace
     raise ConvergenceError(
@@ -295,7 +295,8 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Measured constants plus the derived proof quantities for one setup."""
+    """Measured constants plus the derived proof quantities for one problem:
+    r and d certify a solve on this grid with these params and no other."""
 
     s_scalar: float
     s_vector: float
@@ -304,10 +305,8 @@ class ConstantsReport:
     radius: float
     threshold: float
     coercivity_lhs: float
-    regime: int
-    grid_dimension: int
-    grid_points: int
-    grid_box_length: float
+    grid: Grid
+    params: SystemParams
     scalar_iterations: int
     vector_iterations: int
 
@@ -320,10 +319,10 @@ class ConstantsReport:
             "radius": self.radius,
             "threshold": self.threshold,
             "coercivity_lhs": self.coercivity_lhs,
-            "regime": self.regime,
-            "grid_dimension": self.grid_dimension,
-            "grid_points": self.grid_points,
-            "grid_box_length": self.grid_box_length,
+            "regime": self.params.gamma,
+            "grid_dimension": self.grid.dimension,
+            "grid_points": self.grid.points_per_axis,
+            "grid_box_length": self.grid.box_length,
             "scalar_iterations": self.scalar_iterations,
             "vector_iterations": self.vector_iterations,
         }
@@ -334,22 +333,17 @@ def measure_constants(grid, params, opts=QUOTIENT_OPTS):
     scalar = minimize_quotient(grid, params, mode="scalar", opts=opts)
     vector = minimize_quotient(grid, params, mode="vector", opts=opts)
     s_s, s_v = scalar.value, vector.value
-    ratio = s_v / s_s
     r = convexity_radius(params, s_s)
-    d = smallness_threshold(params, r, s_s, s_v)
-    lhs = coercivity_lhs(params.alpha, params.beta, params, s_s, s_v)
     return ConstantsReport(
         s_scalar=s_s,
         s_vector=s_v,
-        ratio_measured=ratio,
+        ratio_measured=s_v / s_s,
         ratio_formula=ratio_formula(params.alpha, params.beta),
         radius=r,
-        threshold=d,
-        coercivity_lhs=lhs,
-        regime=params.gamma,
-        grid_dimension=grid.dimension,
-        grid_points=grid.points_per_axis,
-        grid_box_length=grid.box_length,
+        threshold=smallness_threshold(params, r, s_s, s_v),
+        coercivity_lhs=coercivity_lhs(params.alpha, params.beta, params, s_s, s_v),
+        grid=grid,
+        params=params,
         scalar_iterations=scalar.iterations,
         vector_iterations=vector.iterations,
     )

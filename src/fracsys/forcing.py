@@ -40,13 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Functional:
-    """A nonnegative density together with both dual norms and its support."""
+    """A nonnegative density with both dual norms and its support, for the
+    order s (of the dual norms) and regime gamma (mean removed if 0)."""
 
     density: Field
     dual_norm_hdot: float
     dual_norm_hfull: float
     support_mask: np.ndarray
-    mean_removed: float = 0.0
+    mean_removed: float
+    s: float
+    gamma: int
 
     def norm(self, gamma):
         return self.dual_norm_hdot if gamma == 0 else self.dual_norm_hfull
@@ -77,7 +80,7 @@ def make_forcing(density, params):
     ref = vals.max()
     mask = vals > SUPPORT_EPS_REL * ref
     mask.flags.writeable = False
-    return Functional(density, n_hdot, n_hfull, mask, mean_removed)
+    return Functional(density, n_hdot, n_hfull, mask, mean_removed, params.s, params.gamma)
 
 
 def scale_functional(f, factor):
@@ -90,6 +93,8 @@ def scale_functional(f, factor):
         f.dual_norm_hfull * factor,
         f.support_mask,
         f.mean_removed * factor,
+        f.s,
+        f.gamma,
     )
 
 

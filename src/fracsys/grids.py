@@ -96,14 +96,8 @@ class Grid:
         return out
 
     def freq_abs_pow(self, power):
-        """|xi|^power with the zero mode mapped to zero for negative powers."""
-        q = self.freq_sq_mesh
-        if power >= 0:
-            return q ** (power / 2.0)
-        out = np.zeros_like(q)
-        nz = q > 0
-        out[nz] = q[nz] ** (power / 2.0)
-        return out
+        """|xi|^power for power >= 0 (inverses live in RegimeOperator)."""
+        return self.freq_sq_mesh ** (power / 2.0)
 
     @cached_property
     def _operators(self):

@@ -11,7 +11,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class MinimizeOpts:
-    """Knobs for the descent loops.
+    """Stopping rule for the descent loops.
 
     tol is interpreted by each loop: gradient L2 norm for the system solve
     and the ground-state residual, relative value change per iteration for
@@ -20,6 +20,9 @@ class MinimizeOpts:
 
     tol: float = 1e-8
     max_iter: int = 10000
-    step0: float = 1.0
-    armijo: float = 1e-4
-    max_step: float = 4.0
+
+
+# step policy of the descent loops: a search starts at STEP0, and each
+# accepted step grows the next trial by 1.5 up to MAX_STEP
+STEP0 = 1.0
+MAX_STEP = 4.0

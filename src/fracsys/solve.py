@@ -18,7 +18,7 @@ from .constants import ConstantsReport, measure_constants
 from .energy import energy, gradient
 from .forcing import riesz_representer, scale_functional
 from .grids import Field, lp_norm, pair_norm
-from .options import ConvergenceError, MinimizeOpts
+from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
 
 __all__ = [
     "SolveReport",
@@ -31,6 +31,8 @@ __all__ = [
 
 SOLVER_OPTS = MinimizeOpts(tol=1e-8, max_iter=10000)
 PROJECTION_FRACTION = 0.99
+# sufficient-decrease constant of the Armijo test
+ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -99,23 +101,26 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
     """Minimize the auxiliary energy over the ball and certify the minimizer.
 
     constants may carry a precomputed ConstantsReport for this grid/params;
-    otherwise both quotient minimizations run first.  A report measured on
-    another grid or in the other regime raises ValueError, since its r and
-    d belong to another problem.  Exceeding the smallness threshold only
-    warns.  Raises ConvergenceError when the gradient tolerance is not
-    reached with the iterate interior; an active ball projection at the end
-    instead returns converged=False with boundary_active set.
+    otherwise both quotient minimizations run first.  A report for another
+    grid or params, or a forcing for another grid, s or gamma, raises
+    ValueError: its r, d or dual norms belong to another problem.
+    Exceeding the smallness threshold only warns.  Raises ConvergenceError
+    when the gradient tolerance is not reached with the iterate interior;
+    an active ball projection at the end instead returns converged=False
+    with boundary_active set.
     """
+    for h in (f, g):
+        if h is not None and (h.grid, h.s, h.gamma) != (grid, params.s, params.gamma):
+            raise ValueError(f"forcing made on {h.grid} for s={h.s}, gamma={h.gamma} "
+                             f"cannot drive a solve on {grid} with {params}")
     if constants is None:
         constants = measure_constants(grid, params)
     if not isinstance(constants, ConstantsReport):
         raise TypeError("constants must be a ConstantsReport")
-    measured_on = (constants.grid_dimension, constants.grid_points, constants.grid_box_length)
-    solving_on = (grid.dimension, grid.points_per_axis, grid.box_length)
-    if measured_on != solving_on or constants.regime != params.gamma:
+    if (constants.grid, constants.params) != (grid, params):
         raise ValueError(
-            f"constants measured on grid {measured_on} with gamma={constants.regime} "
-            f"cannot certify a solve on grid {solving_on} with gamma={params.gamma}"
+            f"constants measured on {constants.grid} with {constants.params} "
+            f"cannot certify a solve on {grid} with {params}"
         )
     r = constants.radius
     d = constants.threshold
@@ -138,7 +143,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         u, v = start
     E = energy(u, v, f, g, params).total
     trace = []
-    tau = opts.step0
+    tau = STEP0
     boundary_active = False
     iterations = 0
     for it in range(opts.max_iter):
@@ -156,11 +161,11 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         energy_floor = 32.0 * np.finfo(float).eps * max(abs(E), 1e-30)
         moved = False
         for _ in range(60):
-            if opts.armijo * tau * slope <= energy_floor:
+            if ARMIJO * tau * slope <= energy_floor:
                 break
             un, vn, projected = _step(u, v, du, dv, tau, params, r)
             En = energy(un, vn, f, g, params).total
-            if En <= E - opts.armijo * tau * slope:
+            if En <= E - ARMIJO * tau * slope:
                 moved = True
                 break
             tau *= 0.5
@@ -173,14 +178,14 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
                 u, v = un, vn
                 E = energy(u, v, f, g, params).total
                 boundary_active = projected
-                tau = opts.step0
+                tau = STEP0
                 continue
             iterations = it
             boundary_active = projected
             break
         u, v, E = un, vn, En
         boundary_active = projected
-        tau = min(tau * 1.5, opts.max_step)
+        tau = min(tau * 1.5, MAX_STEP)
     else:
         iterations = opts.max_iter
 

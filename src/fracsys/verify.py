@@ -16,7 +16,6 @@ from . import grids
 from .constants import (
     coercivity_sweep,
     measure_constants,
-    minimize_quotient,
     ratio_formula,
     sobolev_quotient,
     vector_quotient,
@@ -28,6 +27,9 @@ from .options import MinimizeOpts
 from .profiles import paired_minimizer
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES"]
+
+# one measurement feeds every check that reads constants, at the ratio check's tolerance
+CONSTANTS_OPTS = MinimizeOpts(tol=1e-10, max_iter=5000)
 
 
 @dataclass(frozen=True)
@@ -104,12 +106,10 @@ def check_gradient_consistency(grid, params, rng, n_dirs=20, n_points=5):
     )
 
 
-def check_hessian_positivity(grid, params, rng, constants=None, n_samples=50):
-    """Second variation positive at random interior points, and above the
-    explicit lower bound with bracket a(a-1)+b(b-1)+ab."""
-    if constants is None:
-        constants = measure_constants(grid, params)
-    r = constants.radius
+def check_hessian_positivity(constants, rng, n_samples=50):
+    """Second variation positive at random interior points of the measured
+    ball, and above the explicit lower bound with bracket a(a-1)+b(b-1)+ab."""
+    grid, params, r = constants.grid, constants.params, constants.radius
     s_scalar = constants.s_scalar
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
@@ -152,13 +152,9 @@ def check_ratio_identity(grid, params, rng):
     return CheckResult("ratio_identity", rel <= 1e-10, f"relative error {rel:.3e}")
 
 
-def check_ratio_measured(grid, params, tol=0.02):
-    """Independent scalar and vector minimizations reproduce the ratio."""
-    opts = MinimizeOpts(tol=1e-10, max_iter=5000)
-    scalar = minimize_quotient(grid, params, mode="scalar", opts=opts)
-    vector = minimize_quotient(grid, params, mode="vector", opts=opts)
-    measured = vector.value / scalar.value
-    target = ratio_formula(params.alpha, params.beta)
+def check_ratio_measured(constants, tol=0.02):
+    """The measured S_vector/S_scalar reproduces the closed-form ratio."""
+    measured, target = constants.ratio_measured, constants.ratio_formula
     rel = abs(measured - target) / target
     return CheckResult(
         "ratio_measured", rel <= tol, f"measured {measured:.6f} vs {target:.6f} ({rel:.2%})"
@@ -214,13 +210,13 @@ CHECK_NAMES = [
 def run_all_checks(grid, params, seed=0, frac_lap=None):
     """Run the whole suite; returns the list of CheckResult."""
     rng = np.random.default_rng(seed)
-    constants = measure_constants(grid, params)
+    constants = measure_constants(grid, params, opts=CONSTANTS_OPTS)
     return [
         check_multiplier_exactness(grid, params, frac_lap=frac_lap),
         check_gradient_consistency(grid, params, rng),
-        check_hessian_positivity(grid, params, rng, constants=constants),
+        check_hessian_positivity(constants, rng),
         check_ratio_identity(grid, params, rng),
-        check_ratio_measured(grid, params),
+        check_ratio_measured(constants),
         check_coercivity_sweep(params),
         check_sign_scan(grid, params),
     ]

@@ -95,19 +95,34 @@ class TestConfigParsing:
         assert payload["config"]["alpha"] == 2.0
 
     @pytest.mark.parametrize(
-        "flags,cfg_text",
+        "flags,cfg_text,message",
         [
-            (["--tol", "nan"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n"),
-            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nf_fraction_of_d = inf\n"),
+            (["--tol", "nan"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "must be finite"),
+            (
+                [],
+                "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nf_fraction_of_d = inf\n",
+                "must be finite",
+            ),
+            (["--tol", "-1"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "at least 0"),
+            (["--max-iter", "-5"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "at least 1"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\ntol = -1\n", "at least 0"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nmax_iter = 0\n", "at least 1"),
         ],
-        ids=["tol-nan-flag", "fraction-inf-in-file"],
+        ids=[
+            "tol-nan-flag",
+            "fraction-inf-in-file",
+            "tol-negative-flag",
+            "max-iter-negative-flag",
+            "tol-negative-in-file",
+            "max-iter-zero-in-file",
+        ],
     )
-    def test_nonfinite_value_is_config_error(self, tmp_path, capsys, flags, cfg_text):
+    def test_nonfinite_value_is_config_error(self, tmp_path, capsys, flags, cfg_text, message):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(cfg_text)
         args = ["solve", "--config", str(cfg_file), *flags, "--output", str(tmp_path / "o")]
         assert run_cli(args) == EXIT_CONFIG
-        assert "must be finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestSubcommands:

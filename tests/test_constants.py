@@ -238,7 +238,7 @@ class TestMeasureConstants:
         assert rep.ratio_measured == pytest.approx(rep.ratio_formula, rel=0.02)
         assert rep.coercivity_lhs > 2.0
         assert rep.radius > 0 and rep.threshold > 0
-        assert rep.regime == 1
+        assert rep.params.gamma == 1
         # threshold consistent with its defining margin
         K = (
             params_sub3.alpha**2

@@ -1,0 +1,49 @@
+"""Smoke runs of the experiment scripts at small sizes.
+
+The scripts read ConstantsReport fields and build forcings through the
+public API, so each one is run end to end and must exit 0 with its
+closing line printed.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script,args,expect",
+    [
+        ("solve_demo.py", ["--grid-size", "64"], "small-data: monotone=True"),
+        (
+            "threshold_margin.py",
+            ["--grid-size", "64", "--bisection-steps", "3"],
+            "interior minimizer holds up to",
+        ),
+        ("constants_sweep.py", ["--grid-size", "64"], "measured ratio"),
+        ("box_convergence.py", ["--levels", "2", "--base-points", "32"], "P=   64"),
+    ],
+    ids=["solve_demo", "threshold_margin", "constants_sweep", "box_convergence"],
+)
+def test_script_runs(tmp_path, script, args, expect):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    if script != "threshold_margin.py":
+        name = "out.csv" if script == "box_convergence.py" else "out"
+        args = [*args, "--output", str(tmp_path / name)]
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script), *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert expect in proc.stdout

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracsys import (
     Field,
@@ -16,6 +18,7 @@ from fracsys import (
     pair_norm,
     positivity_check,
     residual,
+    scale_functional,
     scale_to_norm,
     solve_system,
 )
@@ -240,7 +243,7 @@ class TestTwoDimensions:
 
 
 class TestConstantsProvenance:
-    """A ConstantsReport certifies only the grid and regime it was measured on."""
+    """A ConstantsReport certifies only the grid and params it was measured on."""
 
     def test_report_from_another_box_rejected(self):
         params = SystemParams(1, 0.25, 1.5, 1.5, 1)
@@ -260,3 +263,96 @@ class TestConstantsProvenance:
         f = make_forcing(gaussian_density(grid, width=2.0), critical)
         with pytest.raises(ValueError, match="constants measured on"):
             solve_system(f, f, critical, grid, constants=constants)
+
+    def test_report_for_another_order_rejected(self):
+        grid = make_grid(1, 256, 40.0)
+        constants = measure_constants(grid, SystemParams(1, 0.25, 1.5, 1.5, 1))
+        params = SystemParams(1, 0.35, 1.5, 1.5, 1)
+        f = make_forcing(gaussian_density(grid, width=2.0), params)
+        with pytest.raises(ValueError, match="constants measured on"):
+            solve_system(f, f, params, grid, constants=constants)
+
+
+PROVENANCE_BASE = SystemParams(1, 0.25, 2.0, 2.0, 1)
+
+
+@pytest.fixture(scope="module")
+def provenance_report():
+    return measure_constants(make_grid(1, 64, 40.0), PROVENANCE_BASE)
+
+
+def _perturbed_problem(data, which):
+    """The base problem with exactly one of its defining quantities changed."""
+    points, length, prm = 64, 40.0, PROVENANCE_BASE
+    if which == "points":
+        points = data.draw(st.sampled_from([16, 32, 128, 256]))
+    elif which == "box_length":
+        length = data.draw(st.floats(5.0, 100.0).filter(lambda x: x != 40.0))
+    elif which == "s":
+        # alpha + beta = 4 stays at or below the critical exponent 2/(1-2s)
+        s = data.draw(st.floats(0.25, 0.45).filter(lambda x: x != 0.25))
+        prm = SystemParams(1, s, 2.0, 2.0, 1)
+    elif which == "powers":
+        powers = st.floats(1.05, 2.0)
+        a, b = data.draw(st.tuples(powers, powers).filter(lambda ab: ab != (2.0, 2.0)))
+        prm = SystemParams(1, 0.25, a, b, 1)
+    else:
+        prm = SystemParams(1, 0.25, 2.0, 2.0, 0)
+    return make_grid(1, points, length), prm
+
+
+@given(
+    which=st.sampled_from(["points", "box_length", "s", "powers", "gamma"]),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_report_rejected_for_any_other_problem(provenance_report, which, data):
+    grid, params = _perturbed_problem(data, which)
+    f = make_forcing(gaussian_density(grid, width=2.0), params)
+    with pytest.raises(ValueError, match="constants measured on"):
+        solve_system(f, f, params, grid, constants=provenance_report)
+    with pytest.raises(ValueError, match="constants measured on"):
+        neumann_series_sanity([1e-2, 1e-3], f, f, params, grid, constants=provenance_report)
+
+
+def test_report_accepted_for_its_own_problem(provenance_report):
+    grid = make_grid(1, 64, 40.0)
+    f = make_forcing(gaussian_density(grid, width=2.0), PROVENANCE_BASE)
+    f = scale_to_norm(f, provenance_report.threshold / 2, PROVENANCE_BASE.gamma)
+    assert solve_system(f, f, PROVENANCE_BASE, grid, constants=provenance_report).converged
+    out = neumann_series_sanity(
+        [1e-1, 1e-2], f, f, PROVENANCE_BASE, grid, constants=provenance_report
+    )
+    assert out["monotone_in_t"]
+
+
+class TestForcingProvenance:
+    """A forcing drives only solves on its grid, order and regime."""
+
+    def test_forcing_from_the_other_regime_rejected(self):
+        grid = make_grid(1, 256, 40.0)
+        full = SystemParams(1, 0.25, 2.0, 2.0, 1)
+        critical = SystemParams(1, 0.25, 2.0, 2.0, 0)
+        constants = measure_constants(grid, critical)
+        f = make_forcing(gaussian_density(grid, width=2.0), full)
+        assert f.mean_removed == 0.0 and f.density.values.mean() > 0.1
+        with pytest.raises(ValueError, match="forcing made on"):
+            solve_system(f, f, critical, grid, constants=constants)
+        fc = make_forcing(gaussian_density(grid, width=2.0), critical)
+        with pytest.raises(ValueError, match="forcing made on"):
+            solve_system(fc, f, critical, grid, constants=constants)
+
+    def test_forcing_for_another_order_rejected(self):
+        grid = make_grid(1, 256, 40.0)
+        params = SystemParams(1, 0.25, 1.5, 1.5, 1)
+        constants = measure_constants(grid, params)
+        f = make_forcing(gaussian_density(grid, width=2.0), SystemParams(1, 0.35, 1.5, 1.5, 1))
+        with pytest.raises(ValueError, match="forcing made on"):
+            solve_system(f, None, params, grid, constants=constants)
+        with pytest.raises(ValueError, match="forcing made on"):
+            neumann_series_sanity([1e-2, 1e-3], f, f, params, grid, constants=constants)
+
+    def test_scaled_forcing_keeps_its_problem(self, setup):
+        grid, params, constants, f = setup
+        h = scale_functional(f, 3.0)
+        assert (h.s, h.gamma) == (f.s, f.gamma) == (params.s, params.gamma)
