@@ -23,7 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Field, Grid, SystemParams, coupling_integral, lp_norm
+from .grids import (
+    Field,
+    Grid,
+    Iterate,
+    SystemParams,
+    coupling_integral,
+    coupling_integrand,
+    lp_norm,
+)
 from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
 
 __all__ = [
@@ -162,25 +170,26 @@ class QuotientResult:
     trace: tuple = field(repr=False, default=())
 
 
-def _descend(x0_list, value_fn, grad_fn, precond_fn, renorm_fn, opts):
+def _descend(xs, value_fn, direction_fn, renorm_fn, opts):
     """Monotone backtracking descent shared by both quotient modes.
 
-    value_fn/grad_fn/renorm_fn act on a list of raw arrays.  Stops when the
-    relative value decrease falls below opts.tol or no decreasing step
-    exists at double precision (the discrete minimum).
+    The iterates are lists of Iterates: trial steps and renormalizations
+    act on values and half spectra alike, so only ``direction_fn`` (the
+    preconditioned gradient at the current iterate and value) transforms.
+    ``renorm_fn`` may change the fresh iterates it is given in place.
+    Stops when the relative value decrease falls below opts.tol or no
+    decreasing step exists at double precision (the discrete minimum).
     """
-    xs = renorm_fn([x.copy() for x in x0_list])
+    xs = renorm_fn(xs)
     val = value_fn(xs)
     trace = [val]
     tau = STEP0
     for it in range(1, opts.max_iter + 1):
-        gs = grad_fn(xs)
-        ds = precond_fn(gs)
+        ds = direction_fn(xs, val)
         moved = False
         for _ in range(60):
-            trial = [x - tau * d for x, d in zip(xs, ds)]
             try:
-                trial = renorm_fn(trial)
+                trial = renorm_fn([x.step(tau, d) for x, d in zip(xs, ds)])
             except ValueError:
                 tau *= 0.5
                 continue
@@ -188,7 +197,11 @@ def _descend(x0_list, value_fn, grad_fn, precond_fn, renorm_fn, opts):
             if new_val < val - 1e-18:
                 moved = True
                 break
+            # a rejected trial, and below the spent direction, goes before
+            # the next one is built, so no two are held at once
+            del trial
             tau *= 0.5
+        del ds
         if not moved:
             # no decreasing step exists: converged to the discrete minimum
             return xs, val, it - 1, True, trace
@@ -215,6 +228,12 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
     operator; the value sequence is non-increasing by construction.  At
     gamma=0 iterates live in the mean-zero subspace.  Returns the
     extremizer field(s) and the quotient value.
+
+    The preconditioned gradient of a quotient Q(x) = quad(x) / n(x)^2 at a
+    normalized x is Op^{-1}(2 Op x - Q N(x)) = 2 x - Q Op^{-1} N(x), with
+    N the derivative of the normalization (x is mean-zero at gamma=0), so
+    each iteration transforms N forward and the direction back: two real
+    transforms per field.
     """
     if mode not in ("scalar", "vector"):
         raise ValueError("mode must be 'scalar' or 'vector'")
@@ -223,69 +242,60 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
     cv = grid.cell_volume
     op = grid.operator(params.s, params.gamma)
 
-    def precond(gs):
-        ds = [op.solve(g) for g in gs]
-        if params.gamma == 0:
-            ds = [d - d.mean() for d in ds]
-        return ds
+    def value(xs):
+        return sum(op.quad_hat(x.xh) for x in xs)
+
+    def direction(x, nonlinear):
+        # 2 x_hat - inverse * N_hat, built in place to hold fewer spectra
+        dh = op.forward(nonlinear)
+        dh *= -op.inverse
+        dh += 2.0 * x.xh
+        return Iterate(op.backward(dh), dh)
+
+    def centered(xs):
+        return [x.center() for x in xs] if params.gamma == 0 else xs
 
     if mode == "scalar":
 
         def renorm(xs):
-            (x,) = xs
-            if params.gamma == 0:
-                x = x - x.mean()
-            n = (cv * np.sum(np.abs(x) ** p)) ** (1.0 / p)
+            (x,) = centered(xs)
+            n = (cv * np.sum(np.abs(x.x) ** p)) ** (1.0 / p)
             if n == 0:
                 raise ValueError("collapse to the zero field")
-            return [x / n]
+            return [x.scale(1.0 / n)]
 
-        def value(xs):
-            return op.quad(xs[0])
-
-        def grad(xs):
+        def directions(xs, q):
             (x,) = xs
-            q = op.quad(x)
-            return [2.0 * (op.apply(x) - q * np.sign(x) * np.abs(x) ** (p - 1.0))]
+            return [direction(x, 2.0 * q * np.sign(x.x) * np.abs(x.x) ** (p - 1.0))]
 
         seeds = [start.values if start is not None else _default_seed_field(grid)]
     else:
 
         def renorm(xs):
-            x, y = xs
-            if params.gamma == 0:
-                x = x - x.mean()
-                y = y - y.mean()
-            c = cv * np.sum(np.abs(x) ** a * np.abs(y) ** b)
+            x, y = centered(xs)
+            c = cv * np.sum(coupling_integrand(x.x, y.x, a, b, positive_parts=False))
             if c <= 0:
                 raise ValueError("vanishing coupling integral")
             t = c ** (-1.0 / p)
-            return [x * t, y * t]
+            return [x.scale(t), y.scale(t)]
 
-        def value(xs):
-            return op.quad(xs[0]) + op.quad(xs[1])
-
-        def grad(xs):
+        def directions(xs, r):
             x, y = xs
-            r = value(xs)
-            gx = 2.0 * op.apply(x) - r * (2.0 * a / p) * np.sign(x) * np.abs(x) ** (
-                a - 1.0
-            ) * np.abs(y) ** b
-            gy = 2.0 * op.apply(y) - r * (2.0 * b / p) * np.sign(y) * np.abs(y) ** (
-                b - 1.0
-            ) * np.abs(x) ** a
-            return [gx, gy]
+            ax, ay = np.abs(x.x), np.abs(y.x)
+            return [
+                direction(x, r * (2.0 * a / p) * np.sign(x.x) * ax ** (a - 1.0) * ay**b),
+                direction(y, r * (2.0 * b / p) * np.sign(y.x) * ay ** (b - 1.0) * ax**a),
+            ]
 
         if start is not None:
             seeds = [start[0].values, start[1].values]
         else:
-            s0 = _default_seed_field(grid)
-            seeds = [s0, s0.copy()]
+            seeds = [_default_seed_field(grid)] * 2
 
     xs, val, iters, converged, trace = _descend(
-        seeds, value, grad, precond, renorm, opts
+        [op.lift(x.copy()) for x in seeds], value, directions, renorm, opts
     )
-    fields = tuple(Field(grid, x) for x in xs)
+    fields = tuple(Field(grid, x.x) for x in xs)
     return QuotientResult(fields, float(val), iters, converged, tuple(trace))
 
 

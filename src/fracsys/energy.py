@@ -17,10 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forcing import dual_pairing
-from .grids import Field, coupling_integral, pow_plus
+from .grids import Field, coupling_integrand, pow_plus
 
-__all__ = ["EnergyBreakdown", "energy", "gradient", "hessian_quadform", "small_t_sign_scan"]
+__all__ = [
+    "EnergyBreakdown",
+    "energy",
+    "energy_terms",
+    "gradient",
+    "gradient_hat",
+    "hessian_quadform",
+    "small_t_sign_scan",
+]
 
 
 @dataclass(frozen=True)
@@ -51,54 +58,78 @@ def _check(u, v, params):
         raise ValueError("params dimension does not match the grid")
 
 
+def energy_terms(grid, params, u, v, fd=None, gd=None, variant="J"):
+    """Energy of a pair of Iterates under forcing densities (fd, gd), raw
+    arrays or None: the kernel behind ``energy`` and the solver's loop.
+    The quadratic term comes from the half spectra, so it needs no
+    transform."""
+    op = grid.operator(params.s, params.gamma)
+    cv = grid.cell_volume
+    if variant not in ("I", "J"):
+        raise ValueError("variant must be 'I' or 'J'")
+    quad = 0.5 * (op.quad_hat(u.xh) + op.quad_hat(v.xh))
+    integrand = coupling_integrand(
+        u.x, v.x, params.alpha, params.beta, positive_parts=(variant == "J")
+    )
+    coup = float(cv * np.sum(integrand)) / params.coupling_exponent
+    forc = 0.0
+    if fd is not None:
+        forc += float(cv * np.sum(fd * u.x))
+    if gd is not None:
+        forc += float(cv * np.sum(gd * v.x))
+    return EnergyBreakdown(quad, coup, forc)
+
+
+def gradient_hat(grid, params, u, v, fh=None, gh=None, variant="J"):
+    """Half spectra of the gradient densities of a pair of Iterates under
+    forcing half spectra (fh, gh), or None: the kernel behind ``gradient``
+    and the solver's loop.  Only the coupling terms are transformed.
+
+    Component u: (regime operator) u - (alpha/p) u_+^(alpha-1) v_+^beta - f;
+    symmetrically for v.  Variant I uses signed absolute powers instead of
+    positive parts.
+    """
+    op = grid.operator(params.s, params.gamma)
+    a, b = params.alpha, params.beta
+    p = params.coupling_exponent
+    x, y = u.x, v.x
+    if variant == "J":
+        cu = pow_plus(x, a - 1.0) * pow_plus(y, b)
+        cv = pow_plus(y, b - 1.0) * pow_plus(x, a)
+    elif variant == "I":
+        cu = np.sign(x) * np.abs(x) ** (a - 1.0) * np.abs(y) ** b
+        cv = np.sign(y) * np.abs(y) ** (b - 1.0) * np.abs(x) ** a
+    else:
+        raise ValueError("variant must be 'I' or 'J'")
+    gu = op.symbol * u.xh - op.forward((a / p) * cu)
+    gv = op.symbol * v.xh - op.forward((b / p) * cv)
+    if fh is not None:
+        gu -= fh
+    if gh is not None:
+        gv -= gh
+    return gu, gv
+
+
 def energy(u, v, f, g, params, variant="J"):
     """Evaluate the energy of a pair under forcing (f, g).
 
     f and g may be None for the unforced functional.
     """
     _check(u, v, params)
-    if variant not in ("I", "J"):
-        raise ValueError("variant must be 'I' or 'J'")
     op = u.grid.operator(params.s, params.gamma)
-    quad = 0.5 * (op.quad(u.values) + op.quad(v.values))
-    p = params.coupling_exponent
-    coup = coupling_integral(
-        u, v, params.alpha, params.beta, positive_parts=(variant == "J")
-    ) / p
-    forc = 0.0
-    if f is not None:
-        forc += dual_pairing(f, u)
-    if g is not None:
-        forc += dual_pairing(g, v)
-    return EnergyBreakdown(quad, coup, forc)
+    fd, gd = (None if h is None else h.density.values for h in (f, g))
+    return energy_terms(u.grid, params, op.lift(u.values), op.lift(v.values), fd, gd, variant)
 
 
 def gradient(u, v, f, g, params, variant="J"):
-    """First variation as a pair of densities.
-
-    Component u: (regime operator) u - (alpha/p) u_+^(alpha-1) v_+^beta - f;
-    symmetrically for v.  Variant I uses signed absolute powers instead of
-    positive parts.
-    """
+    """First variation as a pair of densities (see ``gradient_hat``)."""
     _check(u, v, params)
     op = u.grid.operator(params.s, params.gamma)
-    a, b = params.alpha, params.beta
-    p = params.coupling_exponent
-    if variant == "J":
-        cu = pow_plus(u.values, a - 1.0) * pow_plus(v.values, b)
-        cv = pow_plus(v.values, b - 1.0) * pow_plus(u.values, a)
-    elif variant == "I":
-        cu = np.sign(u.values) * np.abs(u.values) ** (a - 1.0) * np.abs(v.values) ** b
-        cv = np.sign(v.values) * np.abs(v.values) ** (b - 1.0) * np.abs(u.values) ** a
-    else:
-        raise ValueError("variant must be 'I' or 'J'")
-    gu = op.apply(u.values) - (a / p) * cu
-    gv = op.apply(v.values) - (b / p) * cv
-    if f is not None:
-        gu = gu - f.density.values
-    if g is not None:
-        gv = gv - g.density.values
-    return Field(u.grid, gu), Field(v.grid, gv)
+    fh, gh = (None if h is None else op.forward(h.density.values) for h in (f, g))
+    gu, gv = gradient_hat(
+        u.grid, params, op.lift(u.values), op.lift(v.values), fh, gh, variant
+    )
+    return Field(u.grid, op.backward(gu)), Field(v.grid, op.backward(gv))
 
 
 def hessian_quadform(u, v, phi, psi, params):

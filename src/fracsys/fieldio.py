@@ -16,6 +16,10 @@ import numpy as np
 from .grids import Field, make_grid
 
 FLOAT_FMT = ".17g"
+# values per write in save_field, which formats plain floats a chunk at a
+# time (no fmt call or numpy scalar per value); a chunk this small leaves no
+# lasting growth of the heap
+_WRITE_CHUNK = 1 << 10
 
 
 def fmt(x):
@@ -28,12 +32,15 @@ def fmt(x):
 
 
 def save_field(u, path):
-    path = Path(path)
     g = u.grid
-    lines = ["dimension,points_per_axis,box_length"]
-    lines.append(f"{g.dimension},{g.points_per_axis},{fmt(g.box_length)}")
-    lines.extend(fmt(v) for v in u.values.ravel(order="C"))
-    path.write_text("\n".join(lines) + "\n")
+    values = u.values.ravel(order="C")
+    # fmt's text for every value, formatted a chunk at a time
+    line = f"{{:{FLOAT_FMT}}}\n".format
+    with open(path, "w") as handle:
+        handle.write("dimension,points_per_axis,box_length\n")
+        handle.write(f"{g.dimension},{g.points_per_axis},{fmt(g.box_length)}\n")
+        for start in range(0, values.size, _WRITE_CHUNK):
+            handle.write("".join(map(line, values[start : start + _WRITE_CHUNK].tolist())))
 
 
 def load_field(path):

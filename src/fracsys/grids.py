@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,10 @@ __all__ = [
     "lp_norm",
     "l2_inner",
     "coupling_integral",
+    "coupling_integrand",
     "pow_plus",
     "RegimeOperator",
+    "Iterate",
     "pair_norm",
 ]
 
@@ -269,45 +272,113 @@ class RegimeOperator:
     """The regime operator (-Delta)^s + gamma as the Fourier multiplier
     |xi|^(2s) + gamma, with its inverse and its quadratic and dual forms.
 
-    The symbol and the inverse are read-only; the inverse is zero on the
+    A real field's spectrum is Hermitian, so the operator works on the
+    rfftn half spectrum: every axis but the last keeps all P frequencies,
+    the last keeps 0..P/2.  The symbol and the inverse live on that half
+    lattice, zero mode first, and are read-only; the inverse is zero on the
     gamma=0 zero mode, so ``solve`` returns the mean-zero solution there.
-    Every method takes and returns raw arrays on the grid's shape.
+    ``apply``, ``solve``, ``quad`` and ``dual_norm`` take raw arrays on the
+    grid's shape; ``lift``, ``forward``, ``backward``, ``form``, ``quad_hat``
+    and ``norm_hat`` let a loop keep its iterates as half spectra too.
     """
 
     def __init__(self, grid, s, gamma):
-        symbol = grid.freq_abs_pow(2.0 * s) + float(gamma)
+        half = grid.points_per_axis // 2 + 1
+        axes = [grid.freq_axis] * (grid.dimension - 1) + [grid.freq_axis[:half]]
+        freq_sq = sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))
+        symbol = freq_sq**s + float(gamma)
         inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
         symbol.flags.writeable = False
         inverse.flags.writeable = False
         self.symbol, self.inverse = symbol, inverse
-        # quadrature weight of one squared Fourier coefficient; the grid
-        # itself is not kept, so a grid and its cached operators form no cycle
-        self._weight = grid.cell_volume / grid.num_points
+        self.shape = grid.shape
+        self._axes = tuple(range(grid.dimension))
+        # Hermitian weights: the last axis's 0 and Nyquist columns hold modes
+        # without a mirror partner in the half spectrum, every other column
+        # stands for itself and its conjugate
+        herm = np.full(half, 2.0)
+        herm[0] = herm[-1] = 1.0
+        # one squared Fourier coefficient's share of the quadrature (discrete
+        # Parseval); the grid itself is not kept, so a grid and its cached
+        # operators form no cycle
+        self._herm = herm * (grid.cell_volume / grid.num_points)
+
+    def forward(self, x):
+        """Half spectrum of a real array on the grid."""
+        return np.fft.rfftn(x)
+
+    def backward(self, xh):
+        """Real array on the grid from its half spectrum."""
+        return np.fft.irfftn(xh, s=self.shape, axes=self._axes)
+
+    def lift(self, x):
+        """The Iterate of a real array on the grid."""
+        return Iterate(x, self.forward(x))
 
     def apply(self, x):
         """Op x."""
-        return np.fft.ifftn(self.symbol * np.fft.fftn(x)).real
+        return self.backward(self.symbol * self.forward(x))
 
     def solve(self, x):
         """Op^{-1} x; at gamma=0 the mean-zero y with Op y = x - mean(x)."""
-        return np.fft.ifftn(self.inverse * np.fft.fftn(x)).real
+        return self.backward(self.inverse * self.forward(x))
+
+    def form(self, xh, multiplier=1.0):
+        """integral(x * M x) for the Fourier multiplier M, from the half
+        spectrum xh of x: a Hermitian-weighted sum of M |xh|^2 that equals
+        the physical-space quadrature exactly (discrete Parseval)."""
+        return float(np.sum(multiplier * self._herm * (xh.real**2 + xh.imag**2)))
+
+    def quad_hat(self, xh):
+        """Quadratic form integral(x * Op x) from the half spectrum of x."""
+        return self.form(xh, self.symbol)
 
     def quad(self, x):
-        """Quadratic form integral(x * Op x).
+        """Quadratic form integral(x * Op x)."""
+        return self.quad_hat(self.forward(x))
 
-        Evaluated in frequency space: cell_volume / P^N * sum(m |x_hat|^2),
-        which equals the physical-space quadrature exactly (discrete Parseval).
-        """
-        return self._form(x, self.symbol)
+    def norm_hat(self, *xhs):
+        """Regime norm of a tuple of fields from their half spectra."""
+        return float(np.sqrt(max(sum(self.quad_hat(xh) for xh in xhs), 0.0)))
 
     def dual_norm(self, x):
         """Norm of the density x in the dual of the regime norm: the square
         root of integral(x * Op^{-1} x)."""
-        return float(np.sqrt(max(self._form(x, self.inverse), 0.0)))
+        return float(np.sqrt(max(self.form(self.forward(x), self.inverse), 0.0)))
 
-    def _form(self, x, weights):
-        xh = np.fft.fftn(x)
-        return float(self._weight * np.sum(weights * np.abs(xh) ** 2))
+
+class Iterate(NamedTuple):
+    """A real field held in both spaces: raw values ``x`` and their rfftn
+    half spectrum ``xh``.
+
+    The descent loops move, rescale and center their iterates only by
+    linear maps, which act on both members alike, so an iterate needs a
+    transform only where it is built from values alone.  ``step`` makes a
+    new iterate; ``scale`` and ``center`` change one in place, so a loop
+    renormalizes a fresh trial without copying it.
+    """
+
+    x: np.ndarray
+    xh: np.ndarray
+
+    def step(self, tau, d):
+        """A new iterate self - tau * d."""
+        return Iterate(self.x - tau * d.x, self.xh - tau * d.xh)
+
+    def scale(self, c):
+        """Multiply by c in place."""
+        x, xh = self
+        x *= c
+        xh *= c
+        return self
+
+    def center(self):
+        """Mean projection in place: the mean leaves x and the zero mode
+        leaves xh."""
+        x, xh = self
+        x -= x.mean()
+        xh.flat[0] = 0.0
+        return self
 
 
 def frac_laplacian(u, s):
@@ -353,7 +424,7 @@ def pair_norm(u, v, params):
     """Product-space norm of a pair in the regime inner product:
     seminorms when gamma=0, full norms when gamma=1."""
     op = _same_grid(u, v).operator(params.s, params.gamma)
-    return float(np.sqrt(max(op.quad(u.values) + op.quad(v.values), 0.0)))
+    return op.norm_hat(op.forward(u.values), op.forward(v.values))
 
 
 def pow_plus(values, exponent):
@@ -373,6 +444,14 @@ def pow_plus(values, exponent):
     return np.where(values > 0, safe**exponent, 0.0)
 
 
+def coupling_integrand(u, v, alpha, beta, positive_parts=True):
+    """Raw-array integrand of the coupling integral: u_+^alpha * v_+^beta
+    with positive_parts set, otherwise |u|^alpha * |v|^beta."""
+    if positive_parts:
+        return pow_plus(u, alpha) * pow_plus(v, beta)
+    return np.abs(u) ** alpha * np.abs(v) ** beta
+
+
 def coupling_integral(u, v, alpha, beta, positive_parts=True):
     """Mixed-power coupling integral.
 
@@ -380,8 +459,5 @@ def coupling_integral(u, v, alpha, beta, positive_parts=True):
     values contribute nothing); otherwise |u|^alpha * |v|^beta.
     """
     g = _same_grid(u, v)
-    if positive_parts:
-        integrand = pow_plus(u.values, alpha) * pow_plus(v.values, beta)
-    else:
-        integrand = np.abs(u.values) ** alpha * np.abs(v.values) ** beta
+    integrand = coupling_integrand(u.values, v.values, alpha, beta, positive_parts)
     return float(g.cell_volume * np.sum(integrand))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,6 +21,12 @@ class MinimizeOpts:
 
     tol: float = 1e-8
     max_iter: int = 10000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 # step policy of the descent loops: a search starts at STEP0, and each

@@ -95,16 +95,18 @@ def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):
     op = grid.operator(params.s, params.gamma)
     cv = grid.cell_volume
 
-    w = None
+    vp = v ** (p - 1.0)
     for it in range(1, opts.max_iter + 1):
-        v = op.solve(v ** (p - 1.0))
-        v = v / (cv * np.sum(np.abs(v) ** p)) ** (1.0 / p)
-        Av = op.apply(v)
+        # v = Op^{-1} vp / n, so Op v = vp / n needs no transform
+        v = op.solve(vp)
+        n = (cv * np.sum(np.abs(v) ** p)) ** (1.0 / p)
+        v = v / n
+        Av = vp / n
         vp = v ** (p - 1.0)
         lam = float(np.sum(Av * vp) / np.sum(vp * vp))
         mu = lam ** (1.0 / (p - 2.0))
         w = mu * v
-        res = np.sqrt(cv * np.sum((op.apply(w) - np.maximum(w, 0.0) ** (p - 1.0)) ** 2))
+        res = np.sqrt(cv * np.sum((mu * Av - np.maximum(w, 0.0) ** (p - 1.0)) ** 2))
         if res <= opts.tol:
             return Field(grid, w)
     raise ConvergenceError(

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import ConstantsReport, measure_constants
-from .energy import energy, gradient
+from .energy import energy_terms, gradient_hat
 from .forcing import riesz_representer, scale_functional
-from .grids import Field, lp_norm, pair_norm
+from .grids import Field, Iterate, lp_norm, pair_norm
 from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
 
 __all__ = [
@@ -73,27 +73,33 @@ class SolveReport:
         }
 
 
-def _grad_l2(gu, gv, params):
-    """Termination norm of the gradient densities; gamma=0 measures the
-    mean-zero part (the component the constrained problem can control)."""
-    cv = gu.grid.cell_volume
-    a, b = gu.values, gv.values
+def _gradient(grid, params, u, v, fh, gh):
+    """Half spectra of the gradient densities at the Iterates (u, v); at
+    gamma=0 without the zero mode, the component the mean-zero problem
+    cannot control."""
+    gu, gv = gradient_hat(grid, params, u, v, fh, gh)
     if params.gamma == 0:
-        a = a - a.mean()
-        b = b - b.mean()
-    return float(np.sqrt(cv * (np.sum(a * a) + np.sum(b * b))))
+        gu.flat[0] = gv.flat[0] = 0.0
+    return gu, gv
 
 
-def _step(u, v, du, dv, tau, params, r):
-    """Move the pair by tau along the descent direction, projecting it back
-    onto the ball of radius PROJECTION_FRACTION * r if it leaves."""
-    un = Field(u.grid, u.values - tau * du)
-    vn = Field(v.grid, v.values - tau * dv)
-    nrm = pair_norm(un, vn, params)
+def _grad_l2(op, grad):
+    """Termination norm: the L2 norm of the gradient densities, from their
+    half spectra (discrete Parseval)."""
+    return float(np.sqrt(sum(op.form(gh) for gh in grad)))
+
+
+def _step(op, u, v, du, dv, tau, r):
+    """Move the pair of Iterates by tau along the descent direction,
+    projecting it back onto the ball of radius PROJECTION_FRACTION * r if
+    it leaves."""
+    un, vn = u.step(tau, du), v.step(tau, dv)
+    nrm = op.norm_hat(un.xh, vn.xh)
     projected = nrm > PROJECTION_FRACTION * r
     if projected:
         sc = PROJECTION_FRACTION * r / nrm
-        un, vn = sc * un, sc * vn
+        un.scale(sc)
+        vn.scale(sc)
     return un, vn, projected
 
 
@@ -108,6 +114,11 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
     when the gradient tolerance is not reached with the iterate interior;
     an active ball projection at the end instead returns converged=False
     with boundary_active set.
+
+    The iterates are Iterates, so steps, projections, energies and norms
+    need no transform: each gradient transforms the two coupling densities
+    forward and each descent direction comes back, four real transforms
+    per iteration (six when the fallback step is tried).
     """
     for h in (f, g):
         if h is not None and (h.grid, h.s, h.gamma) != (grid, params.s, params.gamma):
@@ -134,28 +145,36 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         )
 
     op = grid.operator(params.s, params.gamma)
-    cv = grid.cell_volume
+    fd, gd = (None if h is None else h.density.values for h in (f, g))
+    f_hat, g_hat = (None if h is None else op.forward(h) for h in (fd, gd))
+
+    def energy_at(u, v):
+        return energy_terms(grid, params, u, v, fd, gd).total
+
+    def gradient_at(u, v):
+        return _gradient(grid, params, u, v, f_hat, g_hat)
 
     if start is None:
-        u = Field(grid, np.zeros(grid.shape))
-        v = Field(grid, np.zeros(grid.shape))
+        u = v = Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
     else:
-        u, v = start
-    E = energy(u, v, f, g, params).total
+        u, v = (op.lift(w.values) for w in start)
+    E = energy_at(u, v)
+    grad = gradient_at(u, v)
     trace = []
     tau = STEP0
     boundary_active = False
     iterations = 0
     for it in range(opts.max_iter):
-        gu, gv = gradient(u, v, f, g, params)
-        gn = _grad_l2(gu, gv, params)
-        trace.append((it, E, gn, pair_norm(u, v, params) / r))
+        gn = _grad_l2(op, grad)
+        trace.append((it, E, gn, op.norm_hat(u.xh, v.xh) / r))
         if gn <= opts.tol:
             iterations = it
             break
-        du = op.solve(gu.values)
-        dv = op.solve(gv.values)
-        slope = float(cv * (np.sum(gu.values * du) + np.sum(gv.values * dv)))
+        du, dv = (Iterate(op.backward(dh), dh) for dh in (op.inverse * gh for gh in grad))
+        slope = sum(op.form(gh, op.inverse) for gh in grad)
+        # the spent gradient, and below each rejected trial, goes before the
+        # next large arrays are built, so the search holds one trial at a time
+        del grad
         # decreases below the energy's round-off scale cannot be certified
         # by the Armijo test; switch to gradient-norm polishing there
         energy_floor = 32.0 * np.finfo(float).eps * max(abs(E), 1e-30)
@@ -163,36 +182,38 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         for _ in range(60):
             if ARMIJO * tau * slope <= energy_floor:
                 break
-            un, vn, projected = _step(u, v, du, dv, tau, params, r)
-            En = energy(un, vn, f, g, params).total
+            un, vn, projected = _step(op, u, v, du, dv, tau, r)
+            En = energy_at(un, vn)
             if En <= E - ARMIJO * tau * slope:
                 moved = True
                 break
+            del un, vn
             tau *= 0.5
         if not moved:
             # full preconditioned step: locally contractive near the
             # minimizer, accepted while it strictly shrinks the gradient
-            un, vn, projected = _step(u, v, du, dv, 1.0, params, r)
-            gun, gvn = gradient(un, vn, f, g, params)
-            if _grad_l2(gun, gvn, params) < gn:
+            un, vn, projected = _step(op, u, v, du, dv, 1.0, r)
+            grad = gradient_at(un, vn)
+            if _grad_l2(op, grad) < gn:
                 u, v = un, vn
-                E = energy(u, v, f, g, params).total
+                E = energy_at(u, v)
                 boundary_active = projected
                 tau = STEP0
                 continue
+            # gn is still the norm at (u, v)
             iterations = it
             boundary_active = projected
             break
         u, v, E = un, vn, En
+        grad = gradient_at(u, v)
         boundary_active = projected
         tau = min(tau * 1.5, MAX_STEP)
     else:
         iterations = opts.max_iter
+        gn = _grad_l2(op, grad)
 
-    gu, gv = gradient(u, v, f, g, params)
-    gn = _grad_l2(gu, gv, params)
     converged = gn <= opts.tol
-    bfrac = pair_norm(u, v, params) / r
+    bfrac = op.norm_hat(u.xh, v.xh) / r
     if not converged:
         if boundary_active or bfrac >= PROJECTION_FRACTION - 1e-12:
             warnings.append(
@@ -204,6 +225,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
                 f"gradient norm {gn:.3e} above tolerance {opts.tol:.3e} "
                 f"after {iterations} iterations"
             )
+    u, v = Field(grid, u.x), Field(grid, v.x)
     sum_norm = lp_norm(u + v, 2)
     distinct = lp_norm(u - v, 2) / sum_norm if sum_norm > 0 else 0.0
     return SolveReport(
@@ -233,8 +255,10 @@ def residual(u, v, f, g, params):
     zero mode is projected out (the torus problem is solvable only in the
     mean-zero subspace).
     """
-    gu, gv = gradient(u, v, f, g, params)
-    return _grad_l2(gu, gv, params)
+    op = u.grid.operator(params.s, params.gamma)
+    f_hat, g_hat = (None if h is None else op.forward(h.density.values) for h in (f, g))
+    grad = _gradient(u.grid, params, op.lift(u.values), op.lift(v.values), f_hat, g_hat)
+    return _grad_l2(op, grad)
 
 
 def positivity_check(report):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracsys import Field, load_field, make_grid, save_field
-from fracsys.fieldio import dump_json
+from fracsys.fieldio import dump_json, fmt
 from fracsys.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config_file
 from fracsys.verify import run_all_checks
 from fracsys import SystemParams
@@ -43,6 +43,18 @@ class TestFieldIO:
         assert lines[0] == "dimension,points_per_axis,box_length"
         assert lines[1] == "1,32,10"
         assert len(lines) == 2 + grid.num_points
+
+    def test_writer_bytes_match_fmt(self, tmp_path):
+        # the writer formats values in chunks; over several chunks it must
+        # give fmt's text
+        grid = make_grid(2, 64, 8.0)
+        vals = np.random.default_rng(2).standard_normal(grid.shape)
+        vals[0, :4] = [-0.0, 5e-324, 1e300, -1.0 / 3.0]
+        path = tmp_path / "f.csv"
+        save_field(Field(grid, vals), path)
+        lines = path.read_text().splitlines()[2:]
+        assert lines[:3] == ["-0", "4.9406564584124654e-324", "1.0000000000000001e+300"]
+        assert lines == [fmt(v) for v in vals.ravel()]
 
     def test_dump_json_writes_nonfinite_as_null(self, tmp_path):
         def reject(token):

@@ -265,3 +265,26 @@ class TestMinimizeQuotientErrors:
                 grid256, params_sub3, mode="scalar",
                 opts=MinimizeOpts(tol=0.0, max_iter=2),
             )
+
+
+class TestMinimizeOptsValidation:
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            (dict(tol=-1.0), "tol"),
+            (dict(tol=float("nan")), "tol"),
+            (dict(tol=float("inf")), "tol"),
+            (dict(max_iter=0), "max_iter"),
+            (dict(max_iter=-5), "max_iter"),
+        ],
+    )
+    def test_bad_values_rejected(self, kw, match):
+        from fracsys import MinimizeOpts
+
+        with pytest.raises(ValueError, match=match):
+            MinimizeOpts(**kw)
+
+    def test_zero_tol_and_one_iteration_accepted(self):
+        from fracsys import MinimizeOpts
+
+        assert MinimizeOpts(tol=0.0, max_iter=1) == MinimizeOpts(0.0, 1)

@@ -208,6 +208,59 @@ class TestRegimeOperator:
         assert op.quad(x.values) == pytest.approx(direct, rel=1e-12)
 
 
+def full_spectrum_reference(grid, s, gamma, x):
+    """apply, solve, quad and dual norm of |xi|^(2s) + gamma on the full
+    fftn spectrum, built here from the wave numbers."""
+    k = [2 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)] * grid.dimension
+    xi_sq = sum(m * m for m in np.meshgrid(*k, indexing="ij"))
+    symbol = xi_sq**s + gamma
+    inverse = np.zeros_like(symbol)
+    inverse[symbol > 0] = 1.0 / symbol[symbol > 0]
+    xh = np.fft.fftn(x)
+    weight = grid.cell_volume / grid.num_points
+    return (
+        np.fft.ifftn(symbol * xh).real,
+        np.fft.ifftn(inverse * xh).real,
+        weight * np.sum(symbol * np.abs(xh) ** 2),
+        np.sqrt(weight * np.sum(inverse * np.abs(xh) ** 2)),
+    )
+
+
+class TestHalfSpectrumOperator:
+    """The operator works on rfftn half spectra with Hermitian weights; a
+    rough field, whose Nyquist planes carry weight, checks them against the
+    full spectrum."""
+
+    @pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16)])
+    @pytest.mark.parametrize("gamma", [0, 1])
+    def test_matches_full_spectrum(self, dim, points, gamma):
+        grid = make_grid(dim, points, 20.0)
+        x = np.random.default_rng(dim).standard_normal(grid.shape)
+        nyquist = np.fft.fftn(x)[..., points // 2]
+        assert np.max(np.abs(nyquist)) > 1.0
+        op = grid.operator(0.35, gamma)
+        apply_ref, solve_ref, quad_ref, dual_ref = full_spectrum_reference(grid, 0.35, gamma, x)
+        for got, ref in ((op.apply(x), apply_ref), (op.solve(x), solve_ref)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert op.quad(x) == pytest.approx(quad_ref, rel=1e-13)
+        assert op.dual_norm(x) == pytest.approx(dual_ref, rel=1e-13)
+
+    @pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16)])
+    def test_half_spectrum_forms(self, dim, points):
+        grid = make_grid(dim, points, 20.0)
+        x = np.random.default_rng(dim + 10).standard_normal(grid.shape)
+        op = grid.operator(0.35, 1)
+        xh = op.forward(x)
+        assert xh.shape == grid.shape[:-1] + (points // 2 + 1,)
+        assert op.symbol.shape == xh.shape and op.inverse.shape == xh.shape
+        np.testing.assert_allclose(op.backward(xh), x, rtol=0, atol=1e-14 * np.max(np.abs(x)))
+        l2 = grid.cell_volume * np.sum(x * x)
+        assert op.form(xh) == pytest.approx(l2, rel=1e-13)
+        assert op.quad_hat(xh) == op.quad(x)
+        it = op.lift(x)
+        assert it.x is x and np.array_equal(it.xh, xh)
+
+
 class TestNorms:
     def test_seminorm_single_mode(self):
         g = make_grid(1, 64, 2 * np.pi)
