@@ -5,6 +5,11 @@ Everything lives on a truncated periodic box, so every constant carries a
 truncation error.  Doubling box length and resolution together (fixed grid
 spacing) shows how the scalar constant, the measured ratio, and the derived
 radius/threshold settle.
+
+`measure_constants` seeds the vector descent at the paired scalar
+minimizer, so the ratio column shows how well that seeded descent holds the
+closed form, not a cold measurement; `constants_sweep.py` keeps the cold
+one, two independent minimizations from the default seed.
 """
 
 import argparse

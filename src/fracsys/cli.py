@@ -123,6 +123,11 @@ class ExperimentConfig:
     def opts(self):
         return MinimizeOpts(tol=self.tol, max_iter=self.max_iter)
 
+    def constants_opts(self):
+        """Quotient options of every command that measures constants: the
+        quotient tolerance is never looser than 1e-8."""
+        return MinimizeOpts(tol=min(self.tol, 1e-8), max_iter=self.max_iter)
+
     def density(self, which, grid):
         kind = getattr(self, f"{which}_kind")
         kw = {"amplitude": getattr(self, f"{which}_amplitude")}
@@ -188,8 +193,7 @@ def cmd_constants(cfg):
     params = cfg.params()
     grid = cfg.grid()
     out = _outdir(cfg)
-    opts = MinimizeOpts(tol=min(cfg.tol, 1e-8), max_iter=cfg.max_iter)
-    report = measure_constants(grid, params, opts=opts)
+    report = measure_constants(grid, params, opts=cfg.constants_opts())
     row = report.as_dict()
     dump_json({"config": cfg.as_dict(), "report": row}, out / "constants.json")
     write_csv(out / "constants.csv", list(row), [list(row.values())])
@@ -276,7 +280,7 @@ def cmd_solve(cfg):
     params = cfg.params()
     grid = cfg.grid()
     out = _outdir(cfg)
-    constants = measure_constants(grid, params)
+    constants = measure_constants(grid, params, opts=cfg.constants_opts())
     f = make_forcing(cfg.density("f", grid), params)
     g = make_forcing(cfg.density("g", grid), params)
     if cfg.f_fraction_of_d > 0:

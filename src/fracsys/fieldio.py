@@ -9,6 +9,7 @@ bit-exactly and identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,20 @@ def save_field(u, path):
 
 
 def load_field(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].split(",") != ["dimension", "points_per_axis", "box_length"]:
-        raise ValueError(f"not a field file: {path}")
-    dim_s, ppa_s, L_s = lines[1].split(",")
-    grid = make_grid(int(dim_s), int(ppa_s), float(L_s))
-    values = np.array([float(t) for t in lines[2:] if t], dtype=float)
+    with open(path) as handle:
+        header = handle.readline().rstrip("\n").split(",")
+        sizes = handle.readline().split(",")
+        if header != ["dimension", "points_per_axis", "box_length"] or len(sizes) != 3:
+            raise ValueError(f"not a field file: {path}")
+        grid = make_grid(int(sizes[0]), int(sizes[1]), float(sizes[2]))
+        # numpy's parser, not one Python float per value; blank lines are
+        # skipped, and an empty body is reported as a wrong count below
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                values = np.loadtxt(handle, dtype=float, comments=None, ndmin=1)
+            except ValueError as exc:
+                raise ValueError(f"bad value in {path}: {exc}") from exc
     if values.size != grid.num_points:
         raise ValueError(f"expected {grid.num_points} values, got {values.size}")
     return Field(grid, values.reshape(grid.shape))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import minimize_quotient
+from .constants import minimize_quotient, paired_minimizer
 from .grids import Field
 from .options import ConvergenceError, MinimizeOpts
 
@@ -61,18 +61,6 @@ def talenti_bubble(grid, params, bubble):
     r = grid.radius_from(center)
     vals = bubble.normalization * (bubble.lam / (bubble.lam**2 + r**2)) ** expo
     return Field(grid, vals)
-
-
-def paired_minimizer(w, alpha, beta):
-    """Turn a scalar extremizer into the coupled pair (B w, w) with
-    B = sqrt(alpha/beta); the pair attains the coupled best constant when
-    w attains the scalar one."""
-    if alpha < 1 or beta < 1:
-        raise ValueError("alpha and beta must both be at least 1")
-    if not np.any(w.values != 0):
-        raise ValueError("zero input field")
-    B = float(np.sqrt(alpha / beta))
-    return B * w, 1.0 * w
 
 
 def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):

@@ -16,6 +16,8 @@ from . import grids
 from .constants import (
     coercivity_sweep,
     measure_constants,
+    minimize_quotient,
+    paired_minimizer,
     ratio_formula,
     sobolev_quotient,
     vector_quotient,
@@ -24,7 +26,6 @@ from .energy import energy, gradient, hessian_quadform, small_t_sign_scan
 from .forcing import gaussian_density, make_forcing, scale_to_norm
 from .grids import Field, SystemParams, pair_norm
 from .options import MinimizeOpts
-from .profiles import paired_minimizer
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES"]
 
@@ -41,8 +42,10 @@ class CheckResult:
 
 def _smooth_field(grid, rng, scale=1.0, decay=8.0):
     z = rng.standard_normal(grid.shape)
-    filt = np.exp(-grid.freq_sq_mesh / decay)
-    return Field(grid, scale * np.fft.ifftn(filt * np.fft.fftn(z)).real)
+    # the field is real, so it is filtered on the half lattice
+    filt = np.exp(-grid.freq_sq_mesh[..., : grid.points_per_axis // 2 + 1] / decay)
+    axes = tuple(range(grid.dimension))
+    return Field(grid, scale * np.fft.irfftn(filt * np.fft.rfftn(z), s=grid.shape, axes=axes))
 
 
 def check_multiplier_exactness(grid, params, frac_lap=None):
@@ -96,10 +99,10 @@ def check_gradient_consistency(grid, params, rng, n_dirs=20, n_points=5):
         if positive_base:
             u = Field(grid, np.abs(u.values) + 0.1)
             v = Field(grid, np.abs(v.values) + 0.1)
+        gu, gv = gradient(u, v, f, g, params)
         for _ in range(n_dirs // n_points):
             phi = _smooth_field(grid, rng)
             psi = _smooth_field(grid, rng)
-            gu, gv = gradient(u, v, f, g, params)
             pred = grids.l2_inner(gu, phi) + grids.l2_inner(gv, psi)
             ep = energy(u + step * phi, v + step * psi, f, g, params).total
             em = energy(u - step * phi, v - step * psi, f, g, params).total
@@ -157,8 +160,16 @@ def check_ratio_identity(grid, params, rng):
 
 
 def check_ratio_measured(constants, tol=0.02):
-    """The measured S_vector/S_scalar reproduces the closed-form ratio."""
-    measured, target = constants.ratio_measured, constants.ratio_formula
+    """A cold vector descent from the default seed reproduces the
+    closed-form ratio against the measured S_scalar.
+
+    The reported S_vector starts at the paired scalar minimizer and holds
+    the ratio by construction, so this check runs its own descent.
+    """
+    cold = minimize_quotient(
+        constants.grid, constants.params, mode="vector", opts=CONSTANTS_OPTS
+    )
+    measured, target = cold.value / constants.s_scalar, constants.ratio_formula
     rel = abs(measured - target) / target
     return CheckResult(
         "ratio_measured", rel <= tol, f"measured {measured:.6f} vs {target:.6f} ({rel:.2%})"

@@ -34,6 +34,33 @@ class TestFieldIO:
         back = load_field(path)
         np.testing.assert_array_equal(back.values, u.values)
 
+    def test_round_trip_extreme_values(self, tmp_path):
+        grid = make_grid(1, 32, 10.0)
+        vals = np.random.default_rng(3).standard_normal(grid.shape)
+        vals[:5] = [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, -1.0 / 3.0]
+        path = tmp_path / "f.csv"
+        save_field(Field(grid, vals), path)
+        back = load_field(path).values
+        assert back.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "not a field file"),
+            ("dimension,points,box_length\n1,32,10\n" + "1\n" * 32, "not a field file"),
+            ("dimension,points_per_axis,box_length\n", "not a field file"),
+            ("dimension,points_per_axis,box_length\n1,32,10\n" + "1\n" * 31, "expected 32 values, got 31"),
+            ("dimension,points_per_axis,box_length\n1,32,10\n", "expected 32 values, got 0"),
+            ("dimension,points_per_axis,box_length\n1,32,10\n1\nabc\n" + "1\n" * 30, "bad value"),
+        ],
+        ids=["empty", "bad-header", "no-sizes", "short-body", "no-body", "unparsable-value"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_field(path)
+
     def test_header_layout(self, tmp_path):
         grid = make_grid(1, 32, 10.0)
         u = Field(grid, np.ones(grid.shape))
@@ -208,6 +235,17 @@ class TestSubcommands:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "iter,energy,grad_norm,ball_fraction"
 
+    def test_constants_and_solve_measure_alike(self, tmp_path):
+        # below the quotient's 1e-8 cap, the solver tolerance sets both
+        # commands' quotient tolerance
+        common = ["--alpha", "1.5", "--beta", "1.5", "--grid-size", "256", "--tol", "1e-10"]
+        assert run_cli(["constants", *common, "--output", str(tmp_path / "c")]) == EXIT_OK
+        assert run_cli(["solve", *common, "--output", str(tmp_path / "s")]) == EXIT_OK
+        measured = json.loads((tmp_path / "c" / "constants.json").read_text())["report"]
+        used = json.loads((tmp_path / "s" / "solve_report.json").read_text())["constants"]
+        assert used["s_scalar"] == measured["s_scalar"]
+        assert used["radius"] == measured["radius"]
+
     def test_verify_all_pass(self, tmp_path, capsys):
         code = run_cli(["verify", "--grid-size", "64", "--output", str(tmp_path / "v")])
         assert code == EXIT_OK
@@ -267,6 +305,29 @@ class TestVerifyDetectsCorruption:
         monkeypatch.setattr("fracsys.grids.frac_laplacian", corrupted)
         code = run_cli(["verify", "--grid-size", "64", "--output", str(tmp_path / "v")])
         assert code == EXIT_NUMERICAL
+
+
+class TestRatioMeasuredCheck:
+    def test_fails_when_cold_descent_is_worse(self, monkeypatch):
+        import dataclasses
+
+        import fracsys.verify as verify
+        from fracsys import measure_constants
+
+        grid = make_grid(1, 64, 40.0)
+        params = SystemParams(1, 0.25, 2.5, 1.5, 1)
+        constants = measure_constants(grid, params)
+        assert verify.check_ratio_measured(constants).passed
+        original = verify.minimize_quotient
+
+        def worse(*args, **kwargs):
+            res = original(*args, **kwargs)
+            return dataclasses.replace(res, value=res.value * 1.05)
+
+        monkeypatch.setattr(verify, "minimize_quotient", worse)
+        result = verify.check_ratio_measured(constants)
+        assert not result.passed
+        assert "(5.00%)" in result.detail
 
 
 class TestConstantsExamples:

@@ -251,6 +251,18 @@ class TestMeasureConstants:
         )
         assert rep.threshold == pytest.approx(A * rep.radius / 2.0, rel=1e-12)
 
+    # extreme powers where a cold vector descent stops on a plateau far from
+    # the closed form (ratio 2.2175 against 1.5016 for the first pair)
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(16.78388088995691, 2.751889333857793), (2.7022000093501655, 16.43149293479642)],
+    )
+    def test_seeded_vector_constant_holds_ratio_at_extreme_powers(self, grid256, alpha, beta):
+        params = SystemParams(1, 0.45, alpha, beta, 1)
+        rep = measure_constants(grid256, params)
+        assert abs(rep.ratio_measured - rep.ratio_formula) <= 1e-6
+        assert rep.vector_iterations <= 2
+
 
 class TestMinimizeQuotientErrors:
     def test_bad_mode_rejected(self, grid64, params_sub3):

@@ -65,6 +65,20 @@ def test_quotient_iteration_budget(problem, fft_calls, mode, per_iter, setup):
     assert len(fft_calls) <= per_iter * (res.iterations + 1) + setup
 
 
+def test_measure_constants_budget(problem, fft_calls):
+    grid, params = problem
+    scalar = minimize_quotient(grid, params, mode="scalar")
+    fft_calls.clear()
+    rep = measure_constants(grid, params)
+    _real_only(fft_calls)
+    assert rep.scalar_iterations == scalar.iterations
+    # the vector descent starts at the paired scalar minimizer: its two
+    # seeds go forward once, and it only confirms the minimum
+    assert rep.vector_iterations <= 2
+    scalar_budget = 2 * (rep.scalar_iterations + 1) + 1
+    assert len(fft_calls) <= scalar_budget + 4 * (rep.vector_iterations + 1) + 2
+
+
 def test_solver_iteration_budget(problem, fft_calls):
     grid, params = problem
     constants = measure_constants(grid, params)
