@@ -74,7 +74,7 @@ class ExperimentConfig:
 
     _INT_KEYS = {"dimension", "gamma", "grid_size", "max_iter", "seed", "f_mode", "g_mode", "sweep_pairs"}
     _STR_KEYS = {"output", "f_kind", "g_kind"}
-    _MINIMUM = {"tol": 0.0, "max_iter": 1}
+    _MINIMUM = {"tol": 0.0, "max_iter": 1, "seed": 0}
 
     def set(self, key, raw):
         if not hasattr(self, key) or key.startswith("_"):
@@ -89,6 +89,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be finite, got {raw!r}")
         if key in self._MINIMUM and value < self._MINIMUM[key]:
             raise ConfigError(f"{key} must be at least {self._MINIMUM[key]}, got {raw!r}")
+        if key == "gamma" and value not in (-1, 0, 1):
+            raise ConfigError(f"gamma must be -1 (infer), 0 or 1, got {raw!r}")
         setattr(self, key, value)
 
     def as_dict(self):
@@ -108,9 +110,9 @@ class ExperimentConfig:
                 f"violated invariant alpha > 1 and beta > 1: got alpha={self.alpha}, beta={self.beta}"
             )
         try:
-            if self.gamma in (0, 1):
-                return SystemParams(self.dimension, self.s, self.alpha, self.beta, self.gamma)
-            return from_powers(self.dimension, self.s, self.alpha, self.beta)
+            if self.gamma == -1:
+                return from_powers(self.dimension, self.s, self.alpha, self.beta)
+            return SystemParams(self.dimension, self.s, self.alpha, self.beta, self.gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -314,7 +316,8 @@ def cmd_solve(cfg):
 def cmd_verify(cfg):
     params = cfg.params()
     grid = cfg.grid()
-    results = run_all_checks(grid, params, seed=cfg.seed)
+    constants = measure_constants(grid, params, opts=cfg.constants_opts())
+    results = run_all_checks(grid, params, seed=cfg.seed, constants=constants)
     out = _outdir(cfg)
     rows = [(r.name, "pass" if r.passed else "FAIL", r.detail) for r in results]
     write_csv(out / "verify.csv", ["check", "status", "detail"], rows)

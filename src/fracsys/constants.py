@@ -29,7 +29,7 @@ from .grids import (
     Iterate,
     SystemParams,
     coupling_integral,
-    coupling_integrand,
+    coupling_terms,
     lp_norm,
 )
 from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
@@ -48,6 +48,7 @@ __all__ = [
     "coercivity_sweep",
     "paired_minimizer",
     "measure_constants",
+    "constants_for",
 ]
 
 QUOTIENT_OPTS = MinimizeOpts(tol=1e-8, max_iter=5000)
@@ -252,7 +253,7 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
         raise ValueError("mode must be 'scalar' or 'vector'")
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
-    cv = grid.cell_volume
+    vol = grid.cell_volume
     op = grid.operator(params.s, params.gamma)
 
     def value(xs):
@@ -272,7 +273,7 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
 
         def renorm(xs):
             (x,) = centered(xs)
-            n = (cv * np.sum(np.abs(x.x) ** p)) ** (1.0 / p)
+            n = (vol * np.sum(np.abs(x.x) ** p)) ** (1.0 / p)
             if n == 0:
                 raise ValueError("collapse to the zero field")
             return [x.scale(1.0 / n)]
@@ -286,7 +287,8 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
 
         def renorm(xs):
             x, y = centered(xs)
-            c = cv * np.sum(coupling_integrand(x.x, y.x, a, b, positive_parts=False))
+            cu, _ = coupling_terms(x.x, y.x, a, b, positive_parts=False)
+            c = vol * np.sum(cu * x.x)
             if c <= 0:
                 raise ValueError("vanishing coupling integral")
             t = c ** (-1.0 / p)
@@ -294,11 +296,8 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
 
         def directions(xs, r):
             x, y = xs
-            ax, ay = np.abs(x.x), np.abs(y.x)
-            return [
-                direction(x, r * (2.0 * a / p) * np.sign(x.x) * ax ** (a - 1.0) * ay**b),
-                direction(y, r * (2.0 * b / p) * np.sign(y.x) * ay ** (b - 1.0) * ax**a),
-            ]
+            cu, cv = coupling_terms(x.x, y.x, a, b, positive_parts=False)
+            return [direction(x, r * (2.0 * a / p) * cu), direction(y, r * (2.0 * b / p) * cv)]
 
         if start is not None:
             seeds = [start[0].values, start[1].values]
@@ -378,3 +377,15 @@ def measure_constants(grid, params, opts=QUOTIENT_OPTS):
         scalar_iterations=scalar.iterations,
         vector_iterations=vector.iterations,
     )
+
+
+def constants_for(grid, params, constants=None):
+    """``constants``, or a measurement when None; one for another problem raises."""
+    if constants is None:
+        return measure_constants(grid, params)
+    if not isinstance(constants, ConstantsReport):
+        raise TypeError("constants must be a ConstantsReport")
+    if (constants.grid, constants.params) != (grid, params):
+        raise ValueError(f"constants measured on {constants.grid} with {constants.params} "
+                         f"cannot certify a problem on {grid} with {params}")
+    return constants

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, coupling_integrand, pow_plus
+from .grids import Field, coupling_terms
 
 __all__ = [
     "EnergyBreakdown",
@@ -58,20 +58,25 @@ def _check(u, v, params):
         raise ValueError("params dimension does not match the grid")
 
 
-def energy_terms(grid, params, u, v, fd=None, gd=None, variant="J"):
-    """Energy of a pair of Iterates under forcing densities (fd, gd), raw
-    arrays or None: the kernel behind ``energy`` and the solver's loop.
-    The quadratic term comes from the half spectra, so it needs no
-    transform."""
-    op = grid.operator(params.s, params.gamma)
-    cv = grid.cell_volume
+def _lifted(u, v, params, variant):
+    """Iterates of u, v and their coupling terms (J: positive parts, I: signed)."""
+    _check(u, v, params)
     if variant not in ("I", "J"):
         raise ValueError("variant must be 'I' or 'J'")
+    op = u.grid.operator(params.s, params.gamma)
+    terms = coupling_terms(u.values, v.values, params.alpha, params.beta, variant == "J")
+    return op, op.lift(u.values), op.lift(v.values), terms
+
+
+def energy_terms(grid, params, u, v, terms, fd=None, gd=None):
+    """Energy of a pair of Iterates with ``terms``, their ``coupling_terms``
+    pair, under forcing densities (fd, gd), raw arrays or None: the kernel
+    behind ``energy`` and the solver's loop.  The quadratic term comes from
+    the half spectra, so it needs no transform."""
+    op = grid.operator(params.s, params.gamma)
+    cv = grid.cell_volume
     quad = 0.5 * (op.quad_hat(u.xh) + op.quad_hat(v.xh))
-    integrand = coupling_integrand(
-        u.x, v.x, params.alpha, params.beta, positive_parts=(variant == "J")
-    )
-    coup = float(cv * np.sum(integrand)) / params.coupling_exponent
+    coup = float(cv * np.sum(terms[0] * u.x)) / params.coupling_exponent
     forc = 0.0
     if fd is not None:
         forc += float(cv * np.sum(fd * u.x))
@@ -80,27 +85,17 @@ def energy_terms(grid, params, u, v, fd=None, gd=None, variant="J"):
     return EnergyBreakdown(quad, coup, forc)
 
 
-def gradient_hat(grid, params, u, v, fh=None, gh=None, variant="J"):
-    """Half spectra of the gradient densities of a pair of Iterates under
-    forcing half spectra (fh, gh), or None: the kernel behind ``gradient``
-    and the solver's loop.  Only the coupling terms are transformed.
-
-    Component u: (regime operator) u - (alpha/p) u_+^(alpha-1) v_+^beta - f;
-    symmetrically for v.  Variant I uses signed absolute powers instead of
-    positive parts.
+def gradient_hat(grid, params, u, v, terms, fh=None, gh=None):
+    """Half spectra of the gradient densities of a pair of Iterates with
+    ``terms`` = (cu, cv) as in ``energy_terms``, under forcing half spectra
+    (fh, gh) or None: the kernel behind ``gradient`` and the solver's loop.
+    Only the coupling terms are transformed.  Component u: (regime
+    operator) u - (alpha/p) cu - f; symmetrically for v.
     """
     op = grid.operator(params.s, params.gamma)
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
-    x, y = u.x, v.x
-    if variant == "J":
-        cu = pow_plus(x, a - 1.0) * pow_plus(y, b)
-        cv = pow_plus(y, b - 1.0) * pow_plus(x, a)
-    elif variant == "I":
-        cu = np.sign(x) * np.abs(x) ** (a - 1.0) * np.abs(y) ** b
-        cv = np.sign(y) * np.abs(y) ** (b - 1.0) * np.abs(x) ** a
-    else:
-        raise ValueError("variant must be 'I' or 'J'")
+    cu, cv = terms
     gu = op.symbol * u.xh - op.forward((a / p) * cu)
     gv = op.symbol * v.xh - op.forward((b / p) * cv)
     if fh is not None:
@@ -115,20 +110,16 @@ def energy(u, v, f, g, params, variant="J"):
 
     f and g may be None for the unforced functional.
     """
-    _check(u, v, params)
-    op = u.grid.operator(params.s, params.gamma)
+    _, x, y, terms = _lifted(u, v, params, variant)
     fd, gd = (None if h is None else h.density.values for h in (f, g))
-    return energy_terms(u.grid, params, op.lift(u.values), op.lift(v.values), fd, gd, variant)
+    return energy_terms(u.grid, params, x, y, terms, fd, gd)
 
 
 def gradient(u, v, f, g, params, variant="J"):
     """First variation as a pair of densities (see ``gradient_hat``)."""
-    _check(u, v, params)
-    op = u.grid.operator(params.s, params.gamma)
+    op, x, y, terms = _lifted(u, v, params, variant)
     fh, gh = (None if h is None else op.forward(h.density.values) for h in (f, g))
-    gu, gv = gradient_hat(
-        u.grid, params, op.lift(u.values), op.lift(v.values), fh, gh, variant
-    )
+    gu, gv = gradient_hat(u.grid, params, x, y, terms, fh, gh)
     return Field(u.grid, op.backward(gu)), Field(v.grid, op.backward(gv))
 
 
@@ -136,7 +127,9 @@ def hessian_quadform(u, v, phi, psi, params):
     """Second variation of variant J evaluated at (u, v) in direction (phi, psi).
 
     Equals the squared regime norm of the direction minus three coupling
-    integrals with coefficients a(a-1)/p, b(b-1)/p and 2ab/p.  Powers at
+    integrals with coefficients a(a-1)/p, b(b-1)/p and 2ab/p, whose
+    integrands are the ``coupling_terms`` pair at powers (a-1, b-1), zero off
+    both supports, times v, u and u: two powers serve all three.  Powers at
     the degenerate set {u <= 0} follow the pow_plus conventions, which for
     exponents in (1, 2) assumes the base field is positive where the
     integrand matters.
@@ -149,20 +142,15 @@ def hessian_quadform(u, v, phi, psi, params):
     p = params.coupling_exponent
     op = u.grid.operator(params.s, params.gamma)
     norm_sq = op.quad(phi.values) + op.quad(psi.values)
-    cv = u.grid.cell_volume
-    uu, vv = u.values, v.values
-    t_uu = np.sum(pow_plus(uu, a - 2.0) * pow_plus(vv, b) * phi.values**2)
-    t_vv = np.sum(pow_plus(uu, a) * pow_plus(vv, b - 2.0) * psi.values**2)
-    t_uv = np.sum(pow_plus(uu, a - 1.0) * pow_plus(vv, b - 1.0) * phi.values * psi.values)
-    for t in (t_uu, t_vv, t_uv):
-        if not np.isfinite(t):
-            raise FloatingPointError("nonfinite coupling integrand in second variation")
-    return float(
-        norm_sq
-        - cv * (a * (a - 1.0) / p) * t_uu
-        - cv * (b * (b - 1.0) / p) * t_vv
-        - cv * (2.0 * a * b / p) * t_uv
-    )
+    vol = u.grid.cell_volume
+    cu, cv = coupling_terms(u.values, v.values, a - 1.0, b - 1.0)
+    t_uu = np.sum(cu * v.values * phi.values**2)
+    t_vv = np.sum(cv * u.values * psi.values**2)
+    t_uv = np.sum(cu * u.values * phi.values * psi.values)
+    coupling = vol / p * (a * (a - 1.0) * t_uu + b * (b - 1.0) * t_vv + 2.0 * a * b * t_uv)
+    if not np.isfinite(coupling):
+        raise FloatingPointError("nonfinite coupling integrand in second variation")
+    return float(norm_sq - coupling)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ __all__ = [
     "lp_norm",
     "l2_inner",
     "coupling_integral",
-    "coupling_integrand",
+    "coupling_terms",
     "pow_plus",
     "RegimeOperator",
     "Iterate",
@@ -435,21 +435,28 @@ def pow_plus(values, exponent):
       exponent == 0: indicator(u > 0)
       exponent < 0 : u^exponent on {u > 0}, zero elsewhere
     """
-    up = np.maximum(values, 0.0)
-    if exponent > 0:
-        return up**exponent
+    pos = values > 0
     if exponent == 0:
-        return (values > 0).astype(float)
-    safe = np.where(values > 0, up, 1.0)
-    return np.where(values > 0, safe**exponent, 0.0)
+        return pos.astype(float)
+    out = np.maximum(values, 0.0) + ~pos  # base 1 off the support: finite, and pow is slow on 0
+    out **= exponent
+    out *= pos
+    return out
 
 
-def coupling_integrand(u, v, alpha, beta, positive_parts=True):
-    """Raw-array integrand of the coupling integral: u_+^alpha * v_+^beta
-    with positive_parts set, otherwise |u|^alpha * |v|^beta."""
+def coupling_terms(x, y, a, b, positive_parts=True):
+    """The partial densities of the coupling x^a y^b at raw arrays x, y:
+    cu = x_+^(a-1) y_+^b and cv = y_+^(b-1) x_+^a (pow_plus conventions), or
+    without positive_parts sign(x)|x|^(a-1)|y|^b and sign(y)|y|^(b-1)|x|^a
+    for a, b >= 1, from two powers P = x^(a-1), Q = y^(b-1): cu = P (Q y) and
+    cv = Q (P x), never P Q, which can overflow.  The integrand is cu * x."""
     if positive_parts:
-        return pow_plus(u, alpha) * pow_plus(v, beta)
-    return np.abs(u) ** alpha * np.abs(v) ** beta
+        p, q = pow_plus(x, a - 1.0), pow_plus(y, b - 1.0)
+    else:
+        p, q = np.abs(x) ** (a - 1.0), np.abs(y) ** (b - 1.0)
+        p *= np.sign(x)
+        q *= np.sign(y)
+    return p * (q * y), q * (p * x)
 
 
 def coupling_integral(u, v, alpha, beta, positive_parts=True):
@@ -459,5 +466,5 @@ def coupling_integral(u, v, alpha, beta, positive_parts=True):
     values contribute nothing); otherwise |u|^alpha * |v|^beta.
     """
     g = _same_grid(u, v)
-    integrand = coupling_integrand(u.values, v.values, alpha, beta, positive_parts)
-    return float(g.cell_volume * np.sum(integrand))
+    cu, _ = coupling_terms(u.values, v.values, alpha, beta, positive_parts)
+    return float(g.cell_volume * np.sum(cu * u.values))

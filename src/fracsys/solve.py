@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import ConstantsReport, measure_constants
+from .constants import constants_for
 from .energy import energy_terms, gradient_hat
 from .forcing import riesz_representer, scale_functional
-from .grids import Field, Iterate, lp_norm, pair_norm
+from .grids import Field, Iterate, coupling_terms, lp_norm, pair_norm
 from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
 
 __all__ = [
@@ -73,11 +73,11 @@ class SolveReport:
         }
 
 
-def _gradient(grid, params, u, v, fh, gh):
-    """Half spectra of the gradient densities at the Iterates (u, v); at
-    gamma=0 without the zero mode, the component the mean-zero problem
-    cannot control."""
-    gu, gv = gradient_hat(grid, params, u, v, fh, gh)
+def _gradient(grid, params, u, v, terms, fh, gh):
+    """Half spectra of the gradient densities at the Iterates (u, v) and their
+    coupling terms, less the zero mode at gamma=0 (the mean-zero problem
+    cannot control it)."""
+    gu, gv = gradient_hat(grid, params, u, v, terms, fh, gh)
     if params.gamma == 0:
         gu.flat[0] = gv.flat[0] = 0.0
     return gu, gv
@@ -118,21 +118,14 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
     The iterates are Iterates, so steps, projections, energies and norms
     need no transform: each gradient transforms the two coupling densities
     forward and each descent direction comes back, four real transforms
-    per iteration (six when the fallback step is tried).
+    per iteration (six when the fallback step is tried).  Each trial point
+    takes its coupling powers once, for its energy and then its gradient.
     """
     for h in (f, g):
         if h is not None and (h.grid, h.s, h.gamma) != (grid, params.s, params.gamma):
             raise ValueError(f"forcing made on {h.grid} for s={h.s}, gamma={h.gamma} "
                              f"cannot drive a solve on {grid} with {params}")
-    if constants is None:
-        constants = measure_constants(grid, params)
-    if not isinstance(constants, ConstantsReport):
-        raise TypeError("constants must be a ConstantsReport")
-    if (constants.grid, constants.params) != (grid, params):
-        raise ValueError(
-            f"constants measured on {constants.grid} with {constants.params} "
-            f"cannot certify a solve on {grid} with {params}"
-        )
+    constants = constants_for(grid, params, constants)
     r = constants.radius
     d = constants.threshold
     norm_f = f.norm(params.gamma) if f is not None else 0.0
@@ -148,18 +141,16 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
     fd, gd = (None if h is None else h.density.values for h in (f, g))
     f_hat, g_hat = (None if h is None else op.forward(h) for h in (fd, gd))
 
-    def energy_at(u, v):
-        return energy_terms(grid, params, u, v, fd, gd).total
-
-    def gradient_at(u, v):
-        return _gradient(grid, params, u, v, f_hat, g_hat)
+    def evaluate(u, v):
+        terms = coupling_terms(u.x, v.x, params.alpha, params.beta)
+        return terms, energy_terms(grid, params, u, v, terms, fd, gd).total
 
     if start is None:
         u = v = Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
     else:
         u, v = (op.lift(w.values) for w in start)
-    E = energy_at(u, v)
-    grad = gradient_at(u, v)
+    terms, E = evaluate(u, v)
+    grad = _gradient(grid, params, u, v, terms, f_hat, g_hat)
     trace = []
     tau = STEP0
     boundary_active = False
@@ -172,9 +163,9 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
             break
         du, dv = (Iterate(op.backward(dh), dh) for dh in (op.inverse * gh for gh in grad))
         slope = sum(op.form(gh, op.inverse) for gh in grad)
-        # the spent gradient, and below each rejected trial, goes before the
-        # next large arrays are built, so the search holds one trial at a time
-        del grad
+        # the spent gradient and its coupling terms, and below each rejected
+        # trial, go before the next large arrays are built
+        del grad, terms
         # decreases below the energy's round-off scale cannot be certified
         # by the Armijo test; switch to gradient-norm polishing there
         energy_floor = 32.0 * np.finfo(float).eps * max(abs(E), 1e-30)
@@ -183,20 +174,20 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
             if ARMIJO * tau * slope <= energy_floor:
                 break
             un, vn, projected = _step(op, u, v, du, dv, tau, r)
-            En = energy_at(un, vn)
+            terms, En = evaluate(un, vn)
             if En <= E - ARMIJO * tau * slope:
                 moved = True
                 break
-            del un, vn
+            del un, vn, terms
             tau *= 0.5
         if not moved:
             # full preconditioned step: locally contractive near the
             # minimizer, accepted while it strictly shrinks the gradient
             un, vn, projected = _step(op, u, v, du, dv, 1.0, r)
-            grad = gradient_at(un, vn)
+            terms, En = evaluate(un, vn)
+            grad = _gradient(grid, params, un, vn, terms, f_hat, g_hat)
             if _grad_l2(op, grad) < gn:
-                u, v = un, vn
-                E = energy_at(u, v)
+                u, v, E = un, vn, En
                 boundary_active = projected
                 tau = STEP0
                 continue
@@ -205,7 +196,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
             boundary_active = projected
             break
         u, v, E = un, vn, En
-        grad = gradient_at(u, v)
+        grad = _gradient(grid, params, u, v, terms, f_hat, g_hat)
         boundary_active = projected
         tau = min(tau * 1.5, MAX_STEP)
     else:
@@ -257,7 +248,8 @@ def residual(u, v, f, g, params):
     """
     op = u.grid.operator(params.s, params.gamma)
     f_hat, g_hat = (None if h is None else op.forward(h.density.values) for h in (f, g))
-    grad = _gradient(u.grid, params, op.lift(u.values), op.lift(v.values), f_hat, g_hat)
+    terms = coupling_terms(u.values, v.values, params.alpha, params.beta)
+    grad = _gradient(u.grid, params, op.lift(u.values), op.lift(v.values), terms, f_hat, g_hat)
     return _grad_l2(op, grad)
 
 
@@ -294,8 +286,7 @@ def neumann_series_sanity(t_scale, f, g, params, grid, opts=SOLVER_OPTS, constan
     ts = [float(t) for t in t_scale]
     if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_scale must be positive and strictly decreasing")
-    if constants is None:
-        constants = measure_constants(grid, params)
+    constants = constants_for(grid, params, constants)
     lu, lv = linear_response(f, g, params)
     lin_norm = pair_norm(lu, lv, params)
     rows = []

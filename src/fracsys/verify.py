@@ -15,7 +15,7 @@ import numpy as np
 from . import grids
 from .constants import (
     coercivity_sweep,
-    measure_constants,
+    constants_for,
     minimize_quotient,
     paired_minimizer,
     ratio_formula,
@@ -29,8 +29,8 @@ from .options import MinimizeOpts
 
 __all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES"]
 
-# one measurement feeds every check that reads constants, at the ratio check's tolerance
-CONSTANTS_OPTS = MinimizeOpts(tol=1e-10, max_iter=5000)
+# the ratio check's cold descent tests the descent: at 1e-8 it can stall on a plateau
+COLD_DESCENT_OPTS = MinimizeOpts(tol=1e-10, max_iter=5000)
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,8 @@ class CheckResult:
 
 def _smooth_field(grid, rng, scale=1.0, decay=8.0):
     z = rng.standard_normal(grid.shape)
-    # the field is real, so it is filtered on the half lattice
-    filt = np.exp(-grid.freq_sq_mesh[..., : grid.points_per_axis // 2 + 1] / decay)
-    axes = tuple(range(grid.dimension))
-    return Field(grid, scale * np.fft.irfftn(filt * np.fft.rfftn(z), s=grid.shape, axes=axes))
+    lap = grid.operator(1, 0)  # its symbol is |xi|^2 on the half lattice
+    return Field(grid, scale * lap.backward(np.exp(-lap.symbol / decay) * lap.forward(z)))
 
 
 def check_multiplier_exactness(grid, params, frac_lap=None):
@@ -167,7 +165,7 @@ def check_ratio_measured(constants, tol=0.02):
     the ratio by construction, so this check runs its own descent.
     """
     cold = minimize_quotient(
-        constants.grid, constants.params, mode="vector", opts=CONSTANTS_OPTS
+        constants.grid, constants.params, mode="vector", opts=COLD_DESCENT_OPTS
     )
     measured, target = cold.value / constants.s_scalar, constants.ratio_formula
     rel = abs(measured - target) / target
@@ -222,10 +220,11 @@ CHECK_NAMES = [
 ]
 
 
-def run_all_checks(grid, params, seed=0, frac_lap=None):
-    """Run the whole suite; returns the list of CheckResult."""
+def run_all_checks(grid, params, seed=0, frac_lap=None, constants=None):
+    """Run the whole suite with ``constants`` for this grid and params (as in
+    ``solve_system``, measured when None); returns the list of CheckResult."""
     rng = np.random.default_rng(seed)
-    constants = measure_constants(grid, params, opts=CONSTANTS_OPTS)
+    constants = constants_for(grid, params, constants)
     return [
         check_multiplier_exactness(grid, params, frac_lap=frac_lap),
         check_gradient_consistency(grid, params, rng),

@@ -146,6 +146,8 @@ class TestConfigParsing:
             (["--max-iter", "-5"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "at least 1"),
             ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\ntol = -1\n", "at least 0"),
             ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nmax_iter = 0\n", "at least 1"),
+            (["--seed", "-1"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "at least 0"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\ngamma = 7\n", "gamma must be"),
         ],
         ids=[
             "tol-nan-flag",
@@ -154,6 +156,8 @@ class TestConfigParsing:
             "max-iter-negative-flag",
             "tol-negative-in-file",
             "max-iter-zero-in-file",
+            "seed-negative-flag",
+            "gamma-out-of-range-in-file",
         ],
     )
     def test_nonfinite_value_is_config_error(self, tmp_path, capsys, flags, cfg_text, message):
@@ -328,6 +332,36 @@ class TestRatioMeasuredCheck:
         result = verify.check_ratio_measured(constants)
         assert not result.passed
         assert "(5.00%)" in result.detail
+
+
+class TestVerifyConstants:
+    """verify certifies with the constants the other commands report."""
+
+    def test_verify_and_constants_certify_with_one_radius(self, tmp_path, monkeypatch):
+        import fracsys.verify as verify
+
+        radii = []
+        original = verify.check_hessian_positivity
+
+        def spy(constants, *args, **kwargs):
+            radii.append(constants.radius)
+            return original(constants, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_hessian_positivity", spy)
+        # critical powers, where quotient tolerances 1e-8 and 1e-10 give two r
+        args = ["--alpha", "2.0", "--beta", "2.0", "--grid-size", "64"]
+        assert run_cli(["constants", *args, "--output", str(tmp_path / "c")]) == EXIT_OK
+        assert run_cli(["verify", *args, "--output", str(tmp_path / "v")]) == EXIT_OK
+        payload = json.loads((tmp_path / "c" / "constants.json").read_text())
+        assert radii == [payload["report"]["radius"]]
+
+    def test_report_for_another_problem_rejected(self):
+        from fracsys import measure_constants
+
+        params = SystemParams(1, 0.25, 1.5, 1.5, 1)
+        other = measure_constants(make_grid(1, 64, 20.0), params)
+        with pytest.raises(ValueError, match="constants measured on"):
+            run_all_checks(make_grid(1, 64, 40.0), params, constants=other)
 
 
 class TestConstantsExamples:

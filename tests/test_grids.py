@@ -13,7 +13,9 @@ from fracsys import (
     l2_inner,
     lp_norm,
     make_grid,
+    pow_plus,
 )
+from fracsys.grids import coupling_terms
 from conftest import low_mode_field, smooth_field
 from oracles import gagliardo_seminorm_sq_1d, pv_frac_laplacian_1d
 
@@ -377,6 +379,72 @@ class TestCouplingIntegral:
             left = coupling_integral(u, v, alpha, beta, positive_parts=flag)
             right = coupling_integral(v, u, beta, alpha, positive_parts=flag)
             assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
+
+
+def _six_power_terms(x, y, a, b, positive_parts):
+    """The coupling densities and integrand as six separate powers."""
+    if positive_parts:
+        cu = pow_plus(x, a - 1.0) * pow_plus(y, b)
+        cv = pow_plus(y, b - 1.0) * pow_plus(x, a)
+        return cu, cv, pow_plus(x, a) * pow_plus(y, b)
+    ax, ay = np.abs(x), np.abs(y)
+    cu = np.sign(x) * ax ** (a - 1.0) * ay**b
+    cv = np.sign(y) * ay ** (b - 1.0) * ax**a
+    return cu, cv, ax**a * ay**b
+
+
+class TestCouplingTerms:
+    """The two-power kernel against the six-power formulas it replaced."""
+
+    @staticmethod
+    def _fields():
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal(257), rng.standard_normal(257)
+        x[:20] = 0.0  # exact zeros, against every sign of the other field
+        y[10:30] = 0.0
+        return x, y
+
+    @pytest.mark.parametrize("positive_parts", [True, False])
+    @pytest.mark.parametrize("a,b", [(2.2, 1.4), (1.0, 2.5), (3.0, 1.0), (1.5, 1.5)])
+    def test_matches_six_powers(self, positive_parts, a, b):
+        x, y = self._fields()
+        cu, cv = coupling_terms(x, y, a, b, positive_parts)
+        want_cu, want_cv, want_integrand = _six_power_terms(x, y, a, b, positive_parts)
+        np.testing.assert_allclose(cu, want_cu, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(cv, want_cv, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(cu * x, want_integrand, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("exponent", [2.2, 0.4, 0.0, -0.4, -1.0])
+    def test_pow_plus_matches_direct_formula(self, exponent):
+        x, _ = self._fields()
+        x[20:25] = -0.0
+        up = np.maximum(x, 0.0)
+        if exponent > 0:
+            want = up**exponent
+        elif exponent == 0:
+            want = (x > 0).astype(float)
+        else:
+            want = np.where(x > 0, np.where(x > 0, up, 1.0) ** exponent, 0.0)
+        np.testing.assert_array_equal(pow_plus(x, exponent), want)
+
+    @pytest.mark.parametrize(
+        "a,b,tail",
+        [(1.6, 2.4, 0), (2.4, 1.3, 0), (1.0, 1.0, 0), (2.0, 3.0, 0), (1.1, 1.1, 1e-172)],
+    )
+    def test_hessian_integrands_from_two_powers(self, a, b, tail):
+        # powers (a-1, b-1) may be below 1, so a-2 and b-2 may be negative;
+        # on the tail x^(a-2) y^(b-2) overflows, and no integrand holds it
+        x, y = self._fields()
+        x[30:40] = y[30:40] = tail
+        cu, cv = coupling_terms(x, y, a - 1.0, b - 1.0)
+        pairs = [
+            (cu * y, pow_plus(x, a - 2.0) * pow_plus(y, b)),
+            (cv * x, pow_plus(x, a) * pow_plus(y, b - 2.0)),
+            (cu * x, pow_plus(x, a - 1.0) * pow_plus(y, b - 1.0)),
+        ]
+        for got, want in pairs:
+            assert np.all(np.isfinite(got))
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 class TestHigherDimensions:

@@ -47,3 +47,29 @@ def test_script_runs(tmp_path, script, args, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def test_reference_outputs_compare(tmp_path, capsys):
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import reference_outputs
+    finally:
+        sys.path.remove(str(REPO / "scripts"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "cfg").mkdir(parents=True)
+        (root / "cfg" / "same.csv").write_text("x,1.5\n")
+    (a / "cfg" / "report.json").write_text('{"r": 2.0, "iterations": 48, "e": -1e-08}\n')
+    (b / "cfg" / "report.json").write_text('{"r": 2.0000000000000004, "iterations": 1, "e": -1e-08}\n')
+    (a / "cfg" / "words.txt").write_text("converged=True\n")
+    (b / "cfg" / "words.txt").write_text("converged=False\n")
+    (a / "cfg" / "solve.log").write_text("--- exit 0\n")
+    assert reference_outputs.main(["compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "cfg/report.json: 1 floats moved, max relative change 2.2e-16; integers changed: 48 -> 1",
+        "cfg/same.csv: identical",
+        f"cfg/solve.log: only in {a}",
+        "cfg/words.txt: text differs",
+    ]
+    assert reference_outputs.main(["compare", str(a), str(a)]) == 0

@@ -93,3 +93,42 @@ def test_solver_iteration_budget(problem, fft_calls):
     # the two forcings go forward once; the last pass evaluates a gradient,
     # and may try the fallback step, before it stops
     assert len(fft_calls) <= 6 * (rep.iterations + 1) + 2
+
+
+def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch):
+    import importlib
+
+    from fracsys.grids import coupling_terms
+
+    solve_mod = importlib.import_module("fracsys.solve")
+    energy_mod = importlib.import_module("fracsys.energy")
+
+    grid, params = problem
+    constants = measure_constants(grid, params)
+    f = make_forcing(gaussian_density(grid, width=2.0), params)
+    f = scale_to_norm(f, 0.5 * constants.threshold, params.gamma)
+    kernel_calls, trial_points, energy_kernel_calls = [], [], []
+
+    def counted_kernel(x, *args, **kwargs):
+        kernel_calls.append(x)
+        return coupling_terms(x, *args, **kwargs)
+
+    def counted_step(*args, _step=solve_mod._step):
+        out = _step(*args)
+        trial_points.append(out[0].x)
+        return out
+
+    def energy_kernel(*args, **kwargs):
+        energy_kernel_calls.append(args)
+        return coupling_terms(*args, **kwargs)
+
+    monkeypatch.setattr(solve_mod, "coupling_terms", counted_kernel)
+    monkeypatch.setattr(solve_mod, "_step", counted_step)
+    # the energy and the gradient read the solver's pair and take no powers
+    monkeypatch.setattr(energy_mod, "coupling_terms", energy_kernel)
+    rep = solve_system(f, f, params, grid, constants=constants)
+    assert rep.converged and rep.iterations > 3
+    assert energy_kernel_calls == []
+    # the start and then trial points only, each at most once
+    assert len({id(x) for x in kernel_calls}) == len(kernel_calls)
+    assert all(any(x is t for t in trial_points) for x in kernel_calls[1:])
