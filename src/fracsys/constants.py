@@ -32,7 +32,7 @@ from .grids import (
     coupling_terms,
     lp_norm,
 )
-from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
+from .options import ConvergenceError, MinimizeOpts, descend
 
 __all__ = [
     "ConstantsReport",
@@ -184,70 +184,31 @@ class QuotientResult:
     trace: tuple = field(repr=False, default=())
 
 
-def _descend(xs, value_fn, direction_fn, renorm_fn, opts):
-    """Monotone backtracking descent shared by both quotient modes.
-
-    The iterates are lists of Iterates: trial steps and renormalizations
-    act on values and half spectra alike, so only ``direction_fn`` (the
-    preconditioned gradient at the current iterate and value) transforms.
-    ``renorm_fn`` may change the fresh iterates it is given in place.
-    Stops when the relative value decrease falls below opts.tol or no
-    decreasing step exists at double precision (the discrete minimum).
-    """
-    xs = renorm_fn(xs)
-    val = value_fn(xs)
-    trace = [val]
-    tau = STEP0
-    for it in range(1, opts.max_iter + 1):
-        ds = direction_fn(xs, val)
-        moved = False
-        for _ in range(60):
-            try:
-                trial = renorm_fn([x.step(tau, d) for x, d in zip(xs, ds)])
-            except ValueError:
-                tau *= 0.5
-                continue
-            new_val = value_fn(trial)
-            if new_val < val - 1e-18:
-                moved = True
-                break
-            # a rejected trial, and below the spent direction, goes before
-            # the next one is built, so no two are held at once
-            del trial
-            tau *= 0.5
-        del ds
-        if not moved:
-            # no decreasing step exists: converged to the discrete minimum
-            return xs, val, it - 1, True, trace
-        rel_drop = (val - new_val) / max(abs(val), 1e-300)
-        xs, val = trial, new_val
-        trace.append(val)
-        tau = min(tau * 1.5, MAX_STEP)
-        if rel_drop < opts.tol:
-            return xs, val, it, True, trace
-    raise ConvergenceError(
-        f"quotient minimization did not converge in {opts.max_iter} iterations"
-    )
-
-
 def _default_seed_field(grid):
     r = grid.radius_from(np.zeros(grid.dimension))
     return np.exp(-(r**2) / 4.0)
 
 
-def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=None):
+def _relative_gap(q, ds, slope):
+    """First-order estimate of the relative gap to the minimum."""
+    return slope / q
+
+
+def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=None,
+                      measure=_relative_gap):
     """Estimate the scalar or vector best constant on this grid.
 
-    Normalization-constrained descent preconditioned by the regime
-    operator; the value sequence is non-increasing by construction.  At
-    gamma=0 iterates live in the mean-zero subspace.  Returns the
-    extremizer field(s) and the quotient value.
+    Normalization-constrained descent (``descend``) preconditioned by the
+    regime operator, stopped once ``measure(Q, d, slope)`` is at most
+    opts.tol, else ConvergenceError.  At gamma=0 iterates live in the
+    mean-zero subspace.  Returns the extremizer field(s) and the value.
 
-    The preconditioned gradient of a quotient Q(x) = quad(x) / n(x)^2 at a
-    normalized x is Op^{-1}(2 Op x - Q N(x)) = 2 x - Q Op^{-1} N(x), with
-    N the derivative of the normalization (x is mean-zero at gamma=0), so
-    each iteration transforms N forward and the direction back: two real
-    transforms per field.
+    The direction is half the preconditioned gradient at a normalized x,
+    d = x - Q w Op^{-1} N(x), with N the derivative terms of the
+    normalization (|x|^(p-2) x, or the signed coupling pair with weights
+    alpha/p and beta/p), so the full step x - d, renormalized, is the
+    inverse iteration.  Each trial takes N once, to renormalize, and its
+    gradient reuses it: two real transforms per field and iteration.
     """
     if mode not in ("scalar", "vector"):
         raise ValueError("mode must be 'scalar' or 'vector'")
@@ -256,59 +217,70 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
     vol = grid.cell_volume
     op = grid.operator(params.s, params.gamma)
 
-    def value(xs):
-        return sum(op.quad_hat(x.xh) for x in xs)
-
-    def direction(x, nonlinear):
-        # 2 x_hat - inverse * N_hat, built in place to hold fewer spectra
-        dh = op.forward(nonlinear)
-        dh *= -op.inverse
-        dh += 2.0 * x.xh
-        return Iterate(op.backward(dh), dh)
-
-    def centered(xs):
-        return [x.center() for x in xs] if params.gamma == 0 else xs
-
     if mode == "scalar":
 
-        def renorm(xs):
-            (x,) = centered(xs)
-            n = (vol * np.sum(np.abs(x.x) ** p)) ** (1.0 / p)
-            if n == 0:
-                raise ValueError("collapse to the zero field")
-            return [x.scale(1.0 / n)]
+        def nonlinear(x):
+            n = np.abs(x)
+            n **= p - 1.0
+            return (np.copysign(n, x, out=n),)
 
-        def directions(xs, q):
-            (x,) = xs
-            return [direction(x, 2.0 * q * np.sign(x.x) * np.abs(x.x) ** (p - 1.0))]
-
-        seeds = [start.values if start is not None else _default_seed_field(grid)]
+        weights = (1.0,)
+        seeds = [start.values] if start is not None else [_default_seed_field(grid)]
     else:
 
-        def renorm(xs):
-            x, y = centered(xs)
-            cu, _ = coupling_terms(x.x, y.x, a, b, positive_parts=False)
-            c = vol * np.sum(cu * x.x)
-            if c <= 0:
-                raise ValueError("vanishing coupling integral")
-            t = c ** (-1.0 / p)
-            return [x.scale(t), y.scale(t)]
+        def nonlinear(x, y):
+            return coupling_terms(x, y, a, b, positive_parts=False)
 
-        def directions(xs, r):
-            x, y = xs
-            cu, cv = coupling_terms(x.x, y.x, a, b, positive_parts=False)
-            return [direction(x, r * (2.0 * a / p) * cu), direction(y, r * (2.0 * b / p) * cv)]
+        weights = (a / p, b / p)
+        seeds = [w.values for w in start] if start is not None else [_default_seed_field(grid)] * 2
 
-        if start is not None:
-            seeds = [start[0].values, start[1].values]
-        else:
-            seeds = [_default_seed_field(grid)] * 2
+    def renorm(xs):
+        # the point on the constraint integral(N(x) x) = 1 through xs, its
+        # terms N taken at xs: the rescaling by t multiplies them by t^(p-1)
+        if params.gamma == 0:
+            xs = [x.center() for x in xs]
+        terms = nonlinear(*(x.x for x in xs))
+        c = vol * np.vdot(terms[0], xs[0].x)
+        if not c > 0:
+            raise ValueError("vanishing normalization integral")
+        t = c ** (-1.0 / p)
+        return [x.scale(t) for x in xs], terms, t ** (p - 1.0)
 
-    xs, val, iters, converged, trace = _descend(
-        [op.lift(x.copy()) for x in seeds], value, directions, renorm, opts
+    def evaluate(point):
+        return sum(op.quad_hat(x.xh) for x in point[0]), None
+
+    trace = []
+
+    def gradient(point, q, _):
+        xs, terms, k = point
+        ds = []
+        for x, n, w in zip(xs, terms, weights):
+            dh = op.forward(n)
+            dh *= op.inverse
+            dh *= -q * w * k
+            dh += x.xh
+            ds.append(Iterate(op.backward(dh), dh))
+        # the L2 gradient is 2 Op d, so the value falls at the rate 2 |d|^2
+        slope = 2.0 * sum(op.quad_hat(d.xh) for d in ds)
+        trace.append(q)
+        return (ds, slope), measure(q, ds, slope)
+
+    def retract(point, ds, tau):
+        return renorm([x.step(tau, d) for x, d in zip(point[0], ds)])
+
+    res = descend(
+        renorm([op.lift(x.copy()) for x in seeds]),
+        evaluate, gradient, lambda point, grad: grad, retract, opts,
     )
-    fields = tuple(Field(grid, x.x) for x in xs)
-    return QuotientResult(fields, float(val), iters, converged, tuple(trace))
+    if not res.converged:
+        raise ConvergenceError(
+            f"quotient descent stopped at measure {res.measure:.3e} above tolerance "
+            f"{opts.tol:.3e} after {res.iterations} iterations"
+        )
+    fields = tuple(Field(grid, x.x) for x in res.point[0])
+    # the values of the accepted points; a rejected full step evaluated one more
+    trace = tuple(trace[: res.iterations + 1])
+    return QuotientResult(fields, float(res.value), res.iterations, True, trace)
 
 
 # ---------------------------------------------------------------------------

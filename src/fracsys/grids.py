@@ -326,8 +326,15 @@ class RegimeOperator:
     def form(self, xh, multiplier=1.0):
         """integral(x * M x) for the Fourier multiplier M, from the half
         spectrum xh of x: a Hermitian-weighted sum of M |xh|^2 that equals
-        the physical-space quadrature exactly (discrete Parseval)."""
-        return float(np.sum(multiplier * self._herm * (xh.real**2 + xh.imag**2)))
+        the physical-space quadrature exactly (discrete Parseval).  Squares
+        in place and weights the last axis with one product, a scalar already
+        on a 1-D grid: a cached multiplier * weights array would cost a half
+        spectrum per operator."""
+        sq = np.square(xh.real)
+        sq += np.square(xh.imag)
+        sq *= multiplier
+        weighted = sq @ self._herm
+        return float(weighted.sum() if weighted.ndim else weighted)
 
     def quad_hat(self, xh):
         """Quadratic form integral(x * Op x) from the half spectrum of x."""

@@ -1,22 +1,25 @@
-"""Shared iteration options and solver exceptions."""
+"""Shared iteration options, the descent engine and solver exceptions."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve ran out of iterations before meeting its tolerance."""
+    """An iterative solve stopped before meeting its tolerance."""
 
 
 @dataclass(frozen=True)
 class MinimizeOpts:
-    """Stopping rule for the descent loops.
-
-    tol is interpreted by each loop: gradient L2 norm for the system solve
-    and the ground-state residual, relative value change per iteration for
-    quotient minimization.
+    """Stopping rule for ``descend``: at most max_iter accepted steps, and
+    stop once the loop's first-order measure is at most tol.  That measure
+    is the gradient L2 norm in the system solve; the Armijo slope over the
+    value, 2 |d|^2 / Q, a first-order estimate of the relative gap to the
+    minimum, in quotient minimization; the residual of the ground-state
+    equation at the rescaled quotient minimizer for the ground state.
     """
 
     tol: float = 1e-8
@@ -29,7 +32,72 @@ class MinimizeOpts:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
-# step policy of the descent loops: a search starts at STEP0, and each
-# accepted step grows the next trial by 1.5 up to MAX_STEP
+# step policy: a search starts at STEP0, halves until the value drops by
+# ARMIJO * tau * slope, and each accepted step grows the next trial by 1.5
+# up to MAX_STEP
+ARMIJO = 1e-4
 STEP0 = 1.0
 MAX_STEP = 4.0
+
+
+class Descent(NamedTuple):
+    point: object
+    value: float
+    measure: float
+    iterations: int
+    converged: bool
+
+
+def descend(point, evaluate, gradient, direction, retract, opts):
+    """Preconditioned descent with Armijo backtracking from ``point`` until
+    the first-order measure is at most opts.tol.  The caller supplies
+      evaluate(point) -> (value, state the gradient reuses, or None),
+      gradient(point, value, state) -> (grad, measure),
+      direction(point, grad) -> (d, slope), the value falling at rate slope,
+      retract(point, d, tau) -> the feasible point tau along -d; a
+        ValueError there rejects the trial.
+    Below 32 ulps of the value no Armijo decrease can be certified; there
+    the full step tau = 1, each caller's fixed-point map, is accepted while
+    it shrinks the measure.  ``iterations`` counts accepted steps, and
+    ``converged`` is false when they run out or the full step fails.  The
+    spent gradient and state, the spent direction and each rejected trial
+    are dropped before the next large array is built.
+    """
+    value, state = evaluate(point)
+    grad, measure = gradient(point, value, state)
+    tau = STEP0
+    for it in range(opts.max_iter):
+        if measure <= opts.tol:
+            return Descent(point, value, measure, it, True)
+        d, slope = direction(point, grad)
+        del grad, state
+        floor = 32.0 * sys.float_info.epsilon * max(abs(value), 1e-30)
+        trial = None
+        for _ in range(60):
+            if ARMIJO * tau * slope <= floor:
+                break
+            try:
+                trial = retract(point, d, tau)
+            except ValueError:
+                tau *= 0.5
+                continue
+            t_value, state = evaluate(trial)
+            if t_value <= value - ARMIJO * tau * slope:
+                tau = min(tau * 1.5, MAX_STEP)
+                break
+            trial = state = None
+            tau *= 0.5
+        full = trial is None
+        if full:
+            try:
+                trial = retract(point, d, 1.0)
+            except ValueError:
+                return Descent(point, value, measure, it, False)
+            t_value, state = evaluate(trial)
+            tau = STEP0
+        del d
+        grad, t_measure = gradient(trial, t_value, state)
+        if full and not t_measure < measure:
+            return Descent(point, value, measure, it, False)
+        point, value, measure = trial, t_value, t_measure
+    return Descent(point, value, measure, opts.max_iter, measure <= opts.tol)

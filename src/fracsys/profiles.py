@@ -10,7 +10,7 @@ import numpy as np
 
 from .constants import minimize_quotient, paired_minimizer
 from .grids import Field
-from .options import ConvergenceError, MinimizeOpts
+from .options import MinimizeOpts
 
 __all__ = [
     "BubbleParams",
@@ -66,40 +66,28 @@ def talenti_bubble(grid, params, bubble):
 def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):
     """Positive, box-centered solution of (regime operator) w = w^(p-1).
 
-    Two stages: quotient minimization seeds the profile, then a normalized
-    inverse iteration w <- Op^{-1}(w^(p-1)) (renormalized in L^p each pass)
-    drives the equation residual below opts.tol after the power rescaling
-    that makes the Euler-Lagrange constant 1.
+    The scalar quotient minimizer x rescaled by the Euler-Lagrange constant:
+    w = Q^(1/(p-2)) |x|.  Its descent stops once the equation residual at
+    that w is at most opts.tol.  With d = x - Q Op^{-1}(|x|^(p-2) x) the
+    residual is Q^(1/(p-2)) |Op d|, read from the half spectrum d already
+    has; the descent's full step there is the normalized inverse iteration
+    w <- Op^{-1}(w^(p-1)), which polishes the residual below the value's
+    round-off.
     """
     if params.gamma != 1:
         raise ValueError("the ground state belongs to the subcritical regime (gamma=1)")
     p = params.coupling_exponent
     if p >= params.crit_exp - 1e-12:
         raise ValueError("ground-state solve needs alpha+beta strictly below critical")
-    seed_opts = MinimizeOpts(tol=1e-12, max_iter=min(opts.max_iter, 4000))
-    result = minimize_quotient(grid, params, mode="scalar", opts=seed_opts)
-    v = np.abs(result.fields[0].values)
-
     op = grid.operator(params.s, params.gamma)
-    cv = grid.cell_volume
+    symbol_sq = op.symbol**2
 
-    vp = v ** (p - 1.0)
-    for it in range(1, opts.max_iter + 1):
-        # v = Op^{-1} vp / n, so Op v = vp / n needs no transform
-        v = op.solve(vp)
-        n = (cv * np.sum(np.abs(v) ** p)) ** (1.0 / p)
-        v = v / n
-        Av = vp / n
-        vp = v ** (p - 1.0)
-        lam = float(np.sum(Av * vp) / np.sum(vp * vp))
-        mu = lam ** (1.0 / (p - 2.0))
-        w = mu * v
-        res = np.sqrt(cv * np.sum((mu * Av - np.maximum(w, 0.0) ** (p - 1.0)) ** 2))
-        if res <= opts.tol:
-            return Field(grid, w)
-    raise ConvergenceError(
-        f"ground-state iteration stalled at residual {res:.3e} after {it} passes"
-    )
+    def residual(q, ds, slope):
+        return q ** (1.0 / (p - 2.0)) * np.sqrt(op.form(ds[0].xh, symbol_sq))
+
+    result = minimize_quotient(grid, params, mode="scalar", opts=opts, measure=residual)
+    mu = result.value ** (1.0 / (p - 2.0))
+    return Field(grid, mu * np.abs(result.fields[0].values))
 
 
 def ground_state_residual(w, params):

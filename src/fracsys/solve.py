@@ -18,7 +18,7 @@ from .constants import constants_for
 from .energy import energy_terms, gradient_hat
 from .forcing import riesz_representer, scale_functional
 from .grids import Field, Iterate, coupling_terms, lp_norm, pair_norm
-from .options import MAX_STEP, STEP0, ConvergenceError, MinimizeOpts
+from .options import ConvergenceError, MinimizeOpts, descend
 
 __all__ = [
     "SolveReport",
@@ -31,8 +31,6 @@ __all__ = [
 
 SOLVER_OPTS = MinimizeOpts(tol=1e-8, max_iter=10000)
 PROJECTION_FRACTION = 0.99
-# sufficient-decrease constant of the Armijo test
-ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -141,69 +139,39 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
     fd, gd = (None if h is None else h.density.values for h in (f, g))
     f_hat, g_hat = (None if h is None else op.forward(h) for h in (fd, gd))
 
-    def evaluate(u, v):
+    def evaluate(point):
+        u, v, _ = point
         terms = coupling_terms(u.x, v.x, params.alpha, params.beta)
-        return terms, energy_terms(grid, params, u, v, terms, fd, gd).total
+        return energy_terms(grid, params, u, v, terms, fd, gd).total, terms
+
+    rows = []
+
+    def gradient(point, E, terms):
+        u, v, _ = point
+        grad = _gradient(grid, params, u, v, terms, f_hat, g_hat)
+        gn = _grad_l2(op, grad)
+        rows.append((E, gn, op.norm_hat(u.xh, v.xh) / r))
+        return grad, gn
+
+    def direction(point, grad):
+        ds = tuple(Iterate(op.backward(dh), dh) for dh in (op.inverse * gh for gh in grad))
+        return ds, sum(op.form(gh, op.inverse) for gh in grad)
+
+    def retract(point, ds, tau):
+        return _step(op, point[0], point[1], *ds, tau, r)
 
     if start is None:
         u = v = Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
     else:
-        u, v = (op.lift(w.values) for w in start)
-    terms, E = evaluate(u, v)
-    grad = _gradient(grid, params, u, v, terms, f_hat, g_hat)
-    trace = []
-    tau = STEP0
-    boundary_active = False
-    iterations = 0
-    for it in range(opts.max_iter):
-        gn = _grad_l2(op, grad)
-        trace.append((it, E, gn, op.norm_hat(u.xh, v.xh) / r))
-        if gn <= opts.tol:
-            iterations = it
-            break
-        du, dv = (Iterate(op.backward(dh), dh) for dh in (op.inverse * gh for gh in grad))
-        slope = sum(op.form(gh, op.inverse) for gh in grad)
-        # the spent gradient and its coupling terms, and below each rejected
-        # trial, go before the next large arrays are built
-        del grad, terms
-        # decreases below the energy's round-off scale cannot be certified
-        # by the Armijo test; switch to gradient-norm polishing there
-        energy_floor = 32.0 * np.finfo(float).eps * max(abs(E), 1e-30)
-        moved = False
-        for _ in range(60):
-            if ARMIJO * tau * slope <= energy_floor:
-                break
-            un, vn, projected = _step(op, u, v, du, dv, tau, r)
-            terms, En = evaluate(un, vn)
-            if En <= E - ARMIJO * tau * slope:
-                moved = True
-                break
-            del un, vn, terms
-            tau *= 0.5
-        if not moved:
-            # full preconditioned step: locally contractive near the
-            # minimizer, accepted while it strictly shrinks the gradient
-            un, vn, projected = _step(op, u, v, du, dv, 1.0, r)
-            terms, En = evaluate(un, vn)
-            grad = _gradient(grid, params, un, vn, terms, f_hat, g_hat)
-            if _grad_l2(op, grad) < gn:
-                u, v, E = un, vn, En
-                boundary_active = projected
-                tau = STEP0
-                continue
-            # gn is still the norm at (u, v)
-            iterations = it
-            boundary_active = projected
-            break
-        u, v, E = un, vn, En
-        grad = _gradient(grid, params, u, v, terms, f_hat, g_hat)
-        boundary_active = projected
-        tau = min(tau * 1.5, MAX_STEP)
-    else:
-        iterations = opts.max_iter
-        gn = _grad_l2(op, grad)
-
-    converged = gn <= opts.tol
+        # a copy, centered at gamma=0 where the problem is posed mean-zero
+        u, v = (op.lift(w.values.copy()) for w in start)
+        if params.gamma == 0:
+            u, v = u.center(), v.center()
+    (u, v, boundary_active), E, gn, iterations, converged = descend(
+        (u, v, False), evaluate, gradient, direction, retract, opts
+    )
+    # the rows of the accepted points; a rejected full step evaluated one more
+    trace = tuple((i, *row) for i, row in enumerate(rows[: iterations + 1]))
     bfrac = op.norm_hat(u.xh, v.xh) / r
     if not converged:
         if boundary_active or bfrac >= PROJECTION_FRACTION - 1e-12:
@@ -235,7 +203,7 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
         forcing_norms=(float(norm_f), float(norm_g)),
         boundary_active=bool(boundary_active),
         warnings=tuple(warnings),
-        trace=tuple(trace),
+        trace=trace,
     )
 
 

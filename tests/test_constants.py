@@ -263,6 +263,19 @@ class TestMeasureConstants:
         assert abs(rep.ratio_measured - rep.ratio_formula) <= 1e-6
         assert rep.vector_iterations <= 2
 
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(16.78388088995691, 2.751889333857793), (2.7022000093501655, 16.43149293479642)],
+    )
+    def test_cold_vector_descent_reaches_ratio_at_extreme_powers(self, grid256, alpha, beta):
+        # a cold start crosses a plateau here, where a stop on the value's
+        # relative drop ends with the ratio 0.48 off
+        params = SystemParams(1, 0.45, alpha, beta, 1)
+        scalar = minimize_quotient(grid256, params, mode="scalar")
+        vector = minimize_quotient(grid256, params, mode="vector")
+        measured = vector.value / scalar.value
+        assert abs(measured - ratio_formula(alpha, beta)) <= 1e-6 * ratio_formula(alpha, beta)
+
 
 class TestMinimizeQuotientErrors:
     def test_bad_mode_rejected(self, grid64, params_sub3):

@@ -110,6 +110,22 @@ class TestSolveSystem:
         assert report.distinctness > 1e-3
         assert any("exceeds smallness threshold" in w for w in report.warnings)
 
+    def test_critical_warm_start_is_centered(self, grid256):
+        # gamma=0 is posed in the mean-zero space: a start with a mean must
+        # not carry it into the iterates
+        params = SystemParams(1, 0.25, 2.0, 2.0, 0)
+        constants = measure_constants(grid256, params)
+        f = make_forcing(gaussian_density(grid256, width=2.0), params)
+        f = scale_to_norm(f, constants.threshold / 2, params.gamma)
+        cold = solve_system(f, f, params, grid256, constants=constants)
+        flat = Field(grid256, np.full(grid256.shape, 0.05))
+        warm = solve_system(f, f, params, grid256, constants=constants, start=(flat, flat))
+        assert warm.converged
+        assert abs(warm.u_bar.values.mean()) <= 1e-12
+        assert warm.energy == pytest.approx(cold.energy, rel=1e-6)
+        for a, b in ((warm.u_bar, cold.u_bar), (warm.v_bar, cold.v_bar)):
+            assert lp_norm(a - b, 2) <= 1e-6 * lp_norm(b, 2)
+
     def test_boundary_projection_reported_not_hidden(self, setup):
         grid, _, _, _ = setup
         params = SystemParams(1, 0.25, 2.5, 1.5, 1)

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from fracsys import (
+    MinimizeOpts,
     SystemParams,
     gaussian_density,
+    ground_state_residual,
     make_forcing,
     make_grid,
     measure_constants,
     minimize_quotient,
     scale_to_norm,
     solve_system,
+    subcritical_ground_state,
 )
 
 # numpy 2 warns on irfftn given s without axes; that must stay fixed
@@ -61,8 +64,52 @@ def test_quotient_iteration_budget(problem, fft_calls, mode, per_iter, setup):
     res = minimize_quotient(grid, params, mode=mode)
     _real_only(fft_calls)
     assert res.iterations > 5
-    # seeds go forward once; the last, failed search may have spent a direction
+    # seeds go forward once, and each accepted point's gradient goes forward and back
     assert len(fft_calls) <= per_iter * (res.iterations + 1) + setup
+
+
+def test_vector_quotient_takes_coupling_powers_once_per_trial_point(problem, monkeypatch):
+    import importlib
+
+    from fracsys.grids import coupling_terms
+
+    constants_mod = importlib.import_module("fracsys.constants")
+    grid, params = problem
+    kernel_calls = []
+
+    def counted_kernel(x, *args, **kwargs):
+        kernel_calls.append(x)
+        return coupling_terms(x, *args, **kwargs)
+
+    monkeypatch.setattr(constants_mod, "coupling_terms", counted_kernel)
+    res = minimize_quotient(grid, params, mode="vector")
+    assert res.iterations > 5
+    # renormalizing a trial takes its powers, and its gradient reuses them:
+    # no array reaches the kernel twice
+    assert len({id(x) for x in kernel_calls}) == len(kernel_calls)
+
+
+def test_ground_state_iteration_budget(fft_calls, monkeypatch):
+    import importlib
+
+    profiles_mod = importlib.import_module("fracsys.profiles")
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(minimize_quotient(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(profiles_mod, "minimize_quotient", recorded)
+    grid = make_grid(1, 256, 40.0)
+    params = SystemParams(1, 0.25, 1.251, 1.251, 1)
+    w = subcritical_ground_state(grid, params, opts=MinimizeOpts(tol=1e-8, max_iter=10000))
+    _real_only(fft_calls)
+    (res,) = runs
+    # one descent, whose full steps are the inverse iteration: the seed goes
+    # forward once, and each gradient transforms forward and back
+    assert res.iterations > 20
+    assert len(fft_calls) <= 2 * (res.iterations + 1) + 1
+    assert ground_state_residual(w, params) <= 1e-8
 
 
 def test_measure_constants_budget(problem, fft_calls):
