@@ -22,7 +22,9 @@ stdout and stderr go to `<config>/<command>.log`, ending with its exit code.
 
 `compare` lists every file of either tree: `identical`, or the largest
 relative change of a float token and each changed integer token (iteration
-counts, exit codes).  It exits 0 when every file is identical, else 1.
+counts, exit codes).  A `.json` file first lists the keys found in only
+one tree, then compares the values of the shared keys.  It exits 0 when
+every file is identical, else 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import re
 import sys
@@ -96,13 +99,34 @@ def _tokens(text):
     return NUMBER.findall(text), NUMBER.split(text)
 
 
+def _leaves(obj, prefix=""):
+    """The values of a parsed JSON object by dotted key path."""
+    if not isinstance(obj, dict):
+        return {prefix: obj}
+    out = {}
+    for key, value in obj.items():
+        out.update(_leaves(value, f"{prefix}.{key}" if prefix else key))
+    return out
+
+
 def compare_file(a, b):
     """One line saying how file b differs from file a."""
     if a.read_bytes() == b.read_bytes():
         return "identical"
-    (na, sa), (nb, sb) = _tokens(a.read_text()), _tokens(b.read_text())
+    parts = []
+    if a.suffix == ".json":
+        la, lb = _leaves(json.loads(a.read_text())), _leaves(json.loads(b.read_text()))
+        for side, mine, other in (("A", la, lb), ("B", lb, la)):
+            only = [k for k in mine if k not in other]
+            if only:
+                parts.append(f"keys only in {side}: " + ", ".join(only))
+        shared = [k for k in la if k in lb]
+        text_a, text_b = (json.dumps([leaves[k] for k in shared]) for leaves in (la, lb))
+    else:
+        text_a, text_b = a.read_text(), b.read_text()
+    (na, sa), (nb, sb) = _tokens(text_a), _tokens(text_b)
     if sa != sb or len(na) != len(nb):
-        return "text differs"
+        return "; ".join([*parts, "text differs"])
     worst, moved, changed_ints = 0.0, 0, []
     for ta, tb in zip(na, nb):
         if ta == tb:
@@ -114,7 +138,6 @@ def compare_file(a, b):
         moved += 1
         scale = max(abs(x), abs(y))
         worst = max(worst, abs(x - y) / scale if scale > 0 else 0.0)
-    parts = []
     if moved:
         parts.append(f"{moved} floats moved, max relative change {worst:.2g}")
     if changed_ints:

@@ -50,8 +50,8 @@ def main():
     )
 
     f = make_forcing(gaussian_density(grid, width=2.0), params)
-    f = scale_to_norm(f, args.fraction_of_d * constants.threshold, params.gamma)
-    rep = solve_system(f, f, params, grid, constants=constants)
+    f = scale_to_norm(f, args.fraction_of_d * constants.threshold)
+    rep = solve_system(f, f, constants)
     print(
         f"solve: converged={rep.converged} iters={rep.iterations} "
         f"energy={rep.energy:.8f} grad={rep.grad_norm:.2e} "
@@ -72,8 +72,8 @@ def main():
 
     d = constants.threshold
     curve = neumann_series_sanity(
-        [1e-1 * d, 1e-2 * d, 1e-3 * d], f, f, params, grid,
-        opts=MinimizeOpts(tol=1e-12, max_iter=10000), constants=constants,
+        [1e-1 * d, 1e-2 * d, 1e-3 * d], f, f, constants,
+        opts=MinimizeOpts(tol=1e-12, max_iter=10000),
     )
     write_csv(
         out / "small_data_curve.csv",

@@ -22,12 +22,10 @@ from fracsys import (
 )
 
 
-def interior_solve(mult, f0, params, grid, constants):
-    f = scale_to_norm(f0, mult * constants.threshold, params.gamma)
+def interior_solve(mult, f0, constants):
+    f = scale_to_norm(f0, mult * constants.threshold)
     try:
-        rep = solve_system(
-            f, f, params, grid, constants=constants, opts=MinimizeOpts(max_iter=4000)
-        )
+        rep = solve_system(f, f, constants, opts=MinimizeOpts(max_iter=4000))
     except Exception:
         return False, None
     return rep.converged and not rep.boundary_active, rep
@@ -50,12 +48,12 @@ def main():
     print(f"threshold d = {constants.threshold:.6f}, radius r = {constants.radius:.6f}")
 
     lo, hi = 1.0, 2.0
-    ok, rep = interior_solve(lo, f0, params, grid, constants)
+    ok, rep = interior_solve(lo, f0, constants)
     if not ok:
         print("interior certificate already fails at d itself (unexpected)")
         return
     while True:
-        ok, rep = interior_solve(hi, f0, params, grid, constants)
+        ok, rep = interior_solve(hi, f0, constants)
         if not ok:
             break
         lo = hi
@@ -65,7 +63,7 @@ def main():
             return
     for _ in range(args.bisection_steps):
         mid = 0.5 * (lo + hi)
-        ok, rep = interior_solve(mid, f0, params, grid, constants)
+        ok, rep = interior_solve(mid, f0, constants)
         if ok:
             lo = mid
         else:

@@ -228,12 +228,15 @@ def cmd_bubble(cfg):
             "bubble requires the critical regime: alpha+beta must equal 2N/(N-2s)"
         )
     grid = cfg.grid()
+    try:
+        bubble = BubbleParams(
+            lam=cfg.bubble_lambda,
+            center=(0.0,) * grid.dimension,
+            normalization=cfg.bubble_normalization,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bubble: {exc}") from exc
     out = _outdir(cfg)
-    bubble = BubbleParams(
-        lam=cfg.bubble_lambda,
-        center=(0.0,) * grid.dimension,
-        normalization=cfg.bubble_normalization,
-    )
     w = talenti_bubble(grid, params, bubble)
     save_field(w, out / "bubble.csv")
     decay = decay_exponent_fit(w)
@@ -286,10 +289,10 @@ def cmd_solve(cfg):
     f = make_forcing(cfg.density("f", grid), params)
     g = make_forcing(cfg.density("g", grid), params)
     if cfg.f_fraction_of_d > 0:
-        f = scale_to_norm(f, cfg.f_fraction_of_d * constants.threshold, params.gamma)
+        f = scale_to_norm(f, cfg.f_fraction_of_d * constants.threshold)
     if cfg.g_fraction_of_d > 0:
-        g = scale_to_norm(g, cfg.g_fraction_of_d * constants.threshold, params.gamma)
-    report = solve_system(f, g, params, grid, opts=cfg.opts(), constants=constants)
+        g = scale_to_norm(g, cfg.g_fraction_of_d * constants.threshold)
+    report = solve_system(f, g, constants, opts=cfg.opts())
     save_field(report.u_bar, out / "u_bar.csv")
     save_field(report.v_bar, out / "v_bar.csv")
     payload = {
@@ -317,7 +320,7 @@ def cmd_verify(cfg):
     params = cfg.params()
     grid = cfg.grid()
     constants = measure_constants(grid, params, opts=cfg.constants_opts())
-    results = run_all_checks(grid, params, seed=cfg.seed, constants=constants)
+    results = run_all_checks(constants, seed=cfg.seed)
     out = _outdir(cfg)
     rows = [(r.name, "pass" if r.passed else "FAIL", r.detail) for r in results]
     write_csv(out / "verify.csv", ["check", "status", "detail"], rows)

@@ -2,12 +2,14 @@
 
 The scalar quotient divides the squared regime norm by a squared Lebesgue
 norm; the coupled quotient divides the pair norm squared by the mixed
-coupling integral to the power 2/p.  Both are estimated by preconditioned
+coupling integral to the power 2/p.  Either is estimated by preconditioned
 projected gradient descent on the quotient with a normalization constraint,
-monotone by construction.  The closed-form relations between them (the
+monotone by construction.  A report measures only the scalar constant: the
+coupled one is the coupled quotient of the paired scalar minimizer, which
+attains ratio_formula * S_scalar exactly, and a cold vector descent is the
+independent check of that identity.  The closed-form relations (the
 vector/scalar ratio, its strict excess over 1, the coercivity margin, the
-convexity radius and the data-smallness threshold) are evaluated exactly
-and cross-checked against the measurements.
+convexity radius and the data-smallness threshold) are evaluated exactly.
 
 The quotients use the regime norm in the numerator in both regimes: the
 homogeneous seminorm at gamma=0 and the full norm at gamma=1.  On the
@@ -48,7 +50,6 @@ __all__ = [
     "coercivity_sweep",
     "paired_minimizer",
     "measure_constants",
-    "constants_for",
 ]
 
 QUOTIENT_OPTS = MinimizeOpts(tol=1e-8, max_iter=5000)
@@ -194,14 +195,14 @@ def _relative_gap(q, ds, slope):
     return slope / q
 
 
-def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=None,
-                      measure=_relative_gap):
+def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_relative_gap):
     """Estimate the scalar or vector best constant on this grid.
 
     Normalization-constrained descent (``descend``) preconditioned by the
     regime operator, stopped once ``measure(Q, d, slope)`` is at most
-    opts.tol, else ConvergenceError.  At gamma=0 iterates live in the
-    mean-zero subspace.  Returns the extremizer field(s) and the value.
+    opts.tol, else ConvergenceError; a quotient value that is not positive
+    (one that underflows) raises ValueError.  At gamma=0 iterates live in
+    the mean-zero subspace.  Returns the extremizer field(s) and the value.
 
     The direction is half the preconditioned gradient at a normalized x,
     d = x - Q w Op^{-1} N(x), with N the derivative terms of the
@@ -225,14 +226,12 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
             return (np.copysign(n, x, out=n),)
 
         weights = (1.0,)
-        seeds = [start.values] if start is not None else [_default_seed_field(grid)]
     else:
 
         def nonlinear(x, y):
             return coupling_terms(x, y, a, b, positive_parts=False)
 
         weights = (a / p, b / p)
-        seeds = [w.values for w in start] if start is not None else [_default_seed_field(grid)] * 2
 
     def renorm(xs):
         # the point on the constraint integral(N(x) x) = 1 through xs, its
@@ -247,7 +246,10 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
         return [x.scale(t) for x in xs], terms, t ** (p - 1.0)
 
     def evaluate(point):
-        return sum(op.quad_hat(x.xh) for x in point[0]), None
+        q = sum(op.quad_hat(x.xh) for x in point[0])
+        if not q > 0:
+            raise ValueError(f"quotient value {q} is not positive")
+        return q, None
 
     trace = []
 
@@ -269,7 +271,7 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, start=Non
         return renorm([x.step(tau, d) for x, d in zip(point[0], ds)])
 
     res = descend(
-        renorm([op.lift(x.copy()) for x in seeds]),
+        renorm([op.lift(_default_seed_field(grid)) for _ in weights]),
         evaluate, gradient, lambda point, grad: grad, retract, opts,
     )
     if not res.converged:
@@ -302,7 +304,6 @@ class ConstantsReport:
     grid: Grid
     params: SystemParams
     scalar_iterations: int
-    vector_iterations: int
 
     def as_dict(self):
         return {
@@ -318,23 +319,19 @@ class ConstantsReport:
             "grid_points": self.grid.points_per_axis,
             "grid_box_length": self.grid.box_length,
             "scalar_iterations": self.scalar_iterations,
-            "vector_iterations": self.vector_iterations,
         }
 
 
 def measure_constants(grid, params, opts=QUOTIENT_OPTS):
-    """Run both quotient minimizations and assemble the derived constants.
+    """Minimize the scalar quotient and assemble the derived constants.
 
-    The vector descent starts at the paired scalar minimizer, which attains
-    ratio_formula * S_scalar exactly on the grid, so it takes one or two
-    steps where a cold start from two Gaussians takes tens and can stall on
-    a plateau at extreme powers.  A cold vector descent from the default
-    seed is verify's independent check of the ratio.
+    S_vector is the coupled quotient of the paired scalar minimizer, which
+    attains ratio_formula * S_scalar exactly on the grid; a cold vector
+    descent from the default seed is verify's independent check of it.
     """
     scalar = minimize_quotient(grid, params, mode="scalar", opts=opts)
-    start = paired_minimizer(scalar.fields[0], params.alpha, params.beta)
-    vector = minimize_quotient(grid, params, mode="vector", opts=opts, start=start)
-    s_s, s_v = scalar.value, vector.value
+    s_s = scalar.value
+    s_v = vector_quotient(*paired_minimizer(scalar.fields[0], params.alpha, params.beta), params)
     r = convexity_radius(params, s_s)
     return ConstantsReport(
         s_scalar=s_s,
@@ -347,17 +344,4 @@ def measure_constants(grid, params, opts=QUOTIENT_OPTS):
         grid=grid,
         params=params,
         scalar_iterations=scalar.iterations,
-        vector_iterations=vector.iterations,
     )
-
-
-def constants_for(grid, params, constants=None):
-    """``constants``, or a measurement when None; one for another problem raises."""
-    if constants is None:
-        return measure_constants(grid, params)
-    if not isinstance(constants, ConstantsReport):
-        raise TypeError("constants must be a ConstantsReport")
-    if (constants.grid, constants.params) != (grid, params):
-        raise ValueError(f"constants measured on {constants.grid} with {constants.params} "
-                         f"cannot certify a problem on {grid} with {params}")
-    return constants

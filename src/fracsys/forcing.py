@@ -51,8 +51,10 @@ class Functional:
     s: float
     gamma: int
 
-    def norm(self, gamma):
-        return self.dual_norm_hdot if gamma == 0 else self.dual_norm_hfull
+    @property
+    def norm(self):
+        """The dual norm of the regime the forcing was made for."""
+        return self.dual_norm_hdot if self.gamma == 0 else self.dual_norm_hfull
 
     @property
     def grid(self):
@@ -98,11 +100,11 @@ def scale_functional(f, factor):
     )
 
 
-def scale_to_norm(f, target, gamma):
-    """Rescale so the regime dual norm equals ``target``."""
+def scale_to_norm(f, target):
+    """Rescale so the dual norm of the forcing's regime equals ``target``."""
     if target <= 0:
         raise ValueError("target norm must be positive")
-    current = f.norm(gamma)
+    current = f.norm
     if current == 0:
         raise ValueError("cannot rescale a functional with zero norm")
     return scale_functional(f, target / current)

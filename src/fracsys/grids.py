@@ -137,7 +137,7 @@ def make_grid(dimension, points_per_axis, box_length):
     """Build a validated grid.
 
     Rejects dimensions outside {1, 2, 3}, non-power-of-two resolutions
-    below 16, and nonpositive box lengths.
+    below 16, and box lengths that are not positive and finite.
     """
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
@@ -147,8 +147,8 @@ def make_grid(dimension, points_per_axis, box_length):
         raise ValueError(
             f"points_per_axis must be a power of two >= 16, got {points_per_axis}"
         )
-    if not (box_length > 0):
-        raise ValueError(f"box_length must be positive, got {box_length}")
+    if not 0 < box_length < np.inf:
+        raise ValueError(f"box_length must be positive and finite, got {box_length}")
     return Grid(int(dimension), int(points_per_axis), float(box_length))
 
 

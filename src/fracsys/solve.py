@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import constants_for
 from .energy import energy_terms, gradient_hat
 from .forcing import riesz_representer, scale_functional
 from .grids import Field, Iterate, coupling_terms, lp_norm, pair_norm
@@ -101,17 +100,16 @@ def _step(op, u, v, du, dv, tau, r):
     return un, vn, projected
 
 
-def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=None):
+def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
     """Minimize the auxiliary energy over the ball and certify the minimizer.
 
-    constants may carry a precomputed ConstantsReport for this grid/params;
-    otherwise both quotient minimizations run first.  A report for another
-    grid or params, or a forcing for another grid, s or gamma, raises
-    ValueError: its r, d or dual norms belong to another problem.
-    Exceeding the smallness threshold only warns.  Raises ConvergenceError
-    when the gradient tolerance is not reached with the iterate interior;
-    an active ball projection at the end instead returns converged=False
-    with boundary_active set.
+    ``constants`` is the ConstantsReport of the problem: its grid and params
+    pose it, and its r and d certify the minimizer.  A forcing made on
+    another grid, s or gamma raises ValueError: its dual norms belong to
+    another problem.  Exceeding the smallness threshold only warns.  Raises
+    ConvergenceError when the gradient tolerance is not reached with the
+    iterate interior; an active ball projection at the end instead returns
+    converged=False with boundary_active set.
 
     The iterates are Iterates, so steps, projections, energies and norms
     need no transform: each gradient transforms the two coupling densities
@@ -119,15 +117,15 @@ def solve_system(f, g, params, grid, opts=SOLVER_OPTS, constants=None, start=Non
     per iteration (six when the fallback step is tried).  Each trial point
     takes its coupling powers once, for its energy and then its gradient.
     """
+    grid, params = constants.grid, constants.params
     for h in (f, g):
         if h is not None and (h.grid, h.s, h.gamma) != (grid, params.s, params.gamma):
             raise ValueError(f"forcing made on {h.grid} for s={h.s}, gamma={h.gamma} "
                              f"cannot drive a solve on {grid} with {params}")
-    constants = constants_for(grid, params, constants)
     r = constants.radius
     d = constants.threshold
-    norm_f = f.norm(params.gamma) if f is not None else 0.0
-    norm_g = g.norm(params.gamma) if g is not None else 0.0
+    norm_f = f.norm if f is not None else 0.0
+    norm_g = g.norm if g is not None else 0.0
     warnings = []
     if max(norm_f, norm_g) > d:
         warnings.append(
@@ -244,8 +242,9 @@ def linear_response(f, g, params):
     return riesz_representer(f, params), riesz_representer(g, params)
 
 
-def neumann_series_sanity(t_scale, f, g, params, grid, opts=SOLVER_OPTS, constants=None):
-    """Solve with forcing (t f, t g) down a decreasing list of t.
+def neumann_series_sanity(t_scale, f, g, constants, opts=SOLVER_OPTS):
+    """Solve the problem of ``constants`` with forcing (t f, t g) down a
+    decreasing list of t.
 
     Returns rows (t, pair_norm, pair_norm / t, ratio to the linear solve)
     plus monotonicity and small-data flags: the solution norm must grow
@@ -254,19 +253,12 @@ def neumann_series_sanity(t_scale, f, g, params, grid, opts=SOLVER_OPTS, constan
     ts = [float(t) for t in t_scale]
     if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_scale must be positive and strictly decreasing")
-    constants = constants_for(grid, params, constants)
+    params = constants.params
     lu, lv = linear_response(f, g, params)
     lin_norm = pair_norm(lu, lv, params)
     rows = []
     for t in ts:
-        rep = solve_system(
-            scale_functional(f, t),
-            scale_functional(g, t),
-            params,
-            grid,
-            opts=opts,
-            constants=constants,
-        )
+        rep = solve_system(scale_functional(f, t), scale_functional(g, t), constants, opts=opts)
         if not rep.converged:
             raise ConvergenceError(f"scaled solve at t={t} did not converge")
         nrm = pair_norm(rep.u_bar, rep.v_bar, params)

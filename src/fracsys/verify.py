@@ -15,7 +15,6 @@ import numpy as np
 from . import grids
 from .constants import (
     coercivity_sweep,
-    constants_for,
     minimize_quotient,
     paired_minimizer,
     ratio_formula,
@@ -156,8 +155,9 @@ def check_ratio_measured(constants, tol=0.02):
     """A cold vector descent from the default seed reproduces the
     closed-form ratio against the measured S_scalar.
 
-    The reported S_vector starts at the paired scalar minimizer and holds
-    the ratio by construction, so this check runs its own descent.
+    The reported S_vector is the coupled quotient of the paired scalar
+    minimizer and holds the ratio by construction, so this check runs the
+    only vector descent of the lab: the independent test of the identity.
     """
     cold = minimize_quotient(constants.grid, constants.params, mode="vector")
     measured, target = cold.value / constants.s_scalar, constants.ratio_formula
@@ -192,7 +192,7 @@ def check_sign_scan(grid, params):
     """Energy along the ray through a positive bump: negative for small
     positive t, positive for small negative t under nontrivial forcing."""
     f = make_forcing(gaussian_density(grid, width=2.0), params)
-    f = scale_to_norm(f, 0.1, params.gamma)
+    f = scale_to_norm(f, 0.1)
     bump = Field(grid, gaussian_density(grid, width=2.0).values + 1e-9)
     report = small_t_sign_scan(bump, bump, f, f, params, [-1e-3, 1e-3])
     return CheckResult(
@@ -213,11 +213,11 @@ CHECK_NAMES = [
 ]
 
 
-def run_all_checks(grid, params, seed=0, frac_lap=None, constants=None):
-    """Run the whole suite with ``constants`` for this grid and params (as in
-    ``solve_system``, measured when None); returns the list of CheckResult."""
+def run_all_checks(constants, seed=0, frac_lap=None):
+    """Run the whole suite on the problem of ``constants``, certifying with
+    its r; returns the list of CheckResult."""
     rng = np.random.default_rng(seed)
-    constants = constants_for(grid, params, constants)
+    grid, params = constants.grid, constants.params
     return [
         check_multiplier_exactness(grid, params, frac_lap=frac_lap),
         check_gradient_consistency(grid, params, rng),

@@ -53,7 +53,7 @@ def main_setup():
     params = SystemParams(1, 0.25, 2.0, 2.0, 1)
     constants = measure_constants(grid, params, opts=MinimizeOpts(tol=1e-10, max_iter=5000))
     f = make_forcing(gaussian_density(grid, width=2.0), params)
-    f = scale_to_norm(f, constants.threshold / 2, params.gamma)
+    f = scale_to_norm(f, constants.threshold / 2)
     return grid, params, constants, f
 
 
@@ -200,7 +200,7 @@ def test_criterion_06_desk_scale_solve(main_setup):
     energy, positive components, interior, restart independent."""
     t0 = time.time()
     grid, params, constants, f = main_setup
-    rep = solve_system(f, f, params, grid, constants=constants)
+    rep = solve_system(f, f, constants)
     diag = positivity_check(rep)
     rng = np.random.default_rng(3)
     max_dev = 0.0
@@ -209,9 +209,7 @@ def test_criterion_06_desk_scale_solve(main_setup):
         u0, v0 = smooth_field(grid, rng), smooth_field(grid, rng)
         frac = 0.1 + 0.6 * rng.random()
         sc = frac * constants.radius / pair_norm(u0, v0, params)
-        rep2 = solve_system(
-            f, f, params, grid, constants=constants, start=(sc * u0, sc * v0)
-        )
+        rep2 = solve_system(f, f, constants, start=(sc * u0, sc * v0))
         dev = np.sqrt(
             lp_norm(rep2.u_bar - rep.u_bar, 2) ** 2
             + lp_norm(rep2.v_bar - rep.v_bar, 2) ** 2
@@ -265,8 +263,8 @@ def test_criterion_07a_distinct_components():
     params = SystemParams(1, 0.25, 2.5, 1.5, 1)
     constants = measure_constants(grid, params, opts=MinimizeOpts(tol=1e-10, max_iter=5000))
     f = make_forcing(gaussian_density(grid, width=2.0), params)
-    f = scale_to_norm(f, constants.threshold / 2, params.gamma)
-    rep = solve_system(f, f, params, grid, constants=constants)
+    f = scale_to_norm(f, constants.threshold / 2)
+    rep = solve_system(f, f, constants)
     elapsed = time.time() - t0
     ok = rep.converged and rep.distinctness > 1e-3 and elapsed < 240.0
     report(
@@ -283,7 +281,7 @@ def test_criterion_07b_symmetric_components(main_setup):
     """Equal powers with identical forcing keep the components equal."""
     t0 = time.time()
     grid, params, constants, f = main_setup
-    rep = solve_system(f, f, params, grid, constants=constants)
+    rep = solve_system(f, f, constants)
     elapsed = time.time() - t0
     ok = rep.converged and rep.distinctness < 1e-6 and elapsed < 240.0
     report("7b", ok, f"distinctness {rep.distinctness:.3e} (threshold 1e-6), {elapsed:.1f}s")
@@ -348,10 +346,8 @@ def test_criterion_10_linear_response(main_setup):
     t0 = time.time()
     grid, params, constants, f = main_setup
     t = 1e-3 * constants.threshold
-    ft = scale_functional(f, t / f.norm(params.gamma))
-    rep = solve_system(
-        ft, ft, params, grid, opts=MinimizeOpts(tol=1e-13, max_iter=10000), constants=constants
-    )
+    ft = scale_functional(f, t / f.norm)
+    rep = solve_system(ft, ft, constants, opts=MinimizeOpts(tol=1e-13, max_iter=10000))
     lu, lv = linear_response(ft, ft, params)
     ratio = pair_norm(rep.u_bar, rep.v_bar, params) / pair_norm(lu, lv, params)
     elapsed = time.time() - t0

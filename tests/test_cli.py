@@ -7,7 +7,7 @@ from fracsys import Field, load_field, make_grid, save_field
 from fracsys.fieldio import dump_json, fmt
 from fracsys.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config_file
 from fracsys.verify import run_all_checks
-from fracsys import SystemParams
+from fracsys import SystemParams, measure_constants
 
 
 def run_cli(args):
@@ -52,8 +52,10 @@ class TestFieldIO:
             ("dimension,points_per_axis,box_length\n1,32,10\n" + "1\n" * 31, "expected 32 values, got 31"),
             ("dimension,points_per_axis,box_length\n1,32,10\n", "expected 32 values, got 0"),
             ("dimension,points_per_axis,box_length\n1,32,10\n1\nabc\n" + "1\n" * 30, "bad value"),
+            ("dimension,points_per_axis,box_length\n1,16,inf\n" + "1\n" * 16, "finite"),
         ],
-        ids=["empty", "bad-header", "no-sizes", "short-body", "no-body", "unparsable-value"],
+        ids=["empty", "bad-header", "no-sizes", "short-body", "no-body", "unparsable-value",
+             "infinite-box"],
     )
     def test_malformed_file_rejected(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -181,6 +183,23 @@ class TestSubcommands:
         payload = json.loads((out / "constants.json").read_text())
         assert payload["report"]["coercivity_lhs"] > 2.0
 
+    @pytest.mark.parametrize(
+        "key,value", [("bubble_lambda", "0"), ("bubble_normalization", "-1")]
+    )
+    def test_bad_bubble_value_is_config_error(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"alpha = 2.0\nbeta = 2.0\ngrid_size = 64\n{key} = {value}\n")
+        code = run_cli(["bubble", "--config", str(cfg_file), "--output", str(tmp_path / "b")])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    def test_underflowing_quotient_is_numerical_failure(self, tmp_path, capsys):
+        # on a box this long the regime form underflows to a zero quotient
+        code = run_cli(["constants", "--grid-size", "64", "--box-length", "1e308",
+                        "--output", str(tmp_path / "c")])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_constants_rejects_power_at_one(self, tmp_path, capsys):
         code = run_cli(
             ["constants", "--alpha", "1.0", "--beta", "3.0", "--output", str(tmp_path / "x")]
@@ -271,11 +290,10 @@ class TestDeterminism:
         assert (out / "constants.csv").read_bytes() == first_csv
 
     def test_seed_change_keeps_verify_verdicts(self, tmp_path):
-        grid = make_grid(1, 64, 40.0)
-        params = SystemParams(1, 0.25, 2.0, 2.0, 1)
+        constants = measure_constants(make_grid(1, 64, 40.0), SystemParams(1, 0.25, 2.0, 2.0, 1))
         verdicts = []
         for seed in (0, 1):
-            results = run_all_checks(grid, params, seed=seed)
+            results = run_all_checks(constants, seed=seed)
             verdicts.append([r.passed for r in results])
         assert verdicts[0] == verdicts[1]
 
@@ -291,7 +309,7 @@ class TestVerifyDetectsCorruption:
             out = frac_laplacian(u, s)
             return Field(u.grid, out.values * (1.0 + 1e-6))
 
-        results = run_all_checks(grid, params, seed=0, frac_lap=corrupted)
+        results = run_all_checks(measure_constants(grid, params), seed=0, frac_lap=corrupted)
         by_name = {r.name: r for r in results}
         assert not by_name["multiplier_exactness"].passed
         # the corruption is injected only into that check's operator
@@ -316,7 +334,6 @@ class TestRatioMeasuredCheck:
         import dataclasses
 
         import fracsys.verify as verify
-        from fracsys import measure_constants
 
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 2.5, 1.5, 1)
@@ -355,14 +372,6 @@ class TestVerifyConstants:
         payload = json.loads((tmp_path / "c" / "constants.json").read_text())
         assert radii == [payload["report"]["radius"]]
 
-    def test_report_for_another_problem_rejected(self):
-        from fracsys import measure_constants
-
-        params = SystemParams(1, 0.25, 1.5, 1.5, 1)
-        other = measure_constants(make_grid(1, 64, 20.0), params)
-        with pytest.raises(ValueError, match="constants measured on"):
-            run_all_checks(make_grid(1, 64, 40.0), params, constants=other)
-
 
 class TestConstantsExamples:
     def test_gamma_override_and_ratio_window(self, tmp_path):
@@ -397,7 +406,7 @@ class TestVerifySubcritical:
     def test_all_checks_pass_in_full_norm_regime(self):
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 1.5, 1.5, 1)
-        results = run_all_checks(grid, params, seed=0)
+        results = run_all_checks(measure_constants(grid, params), seed=0)
         assert all(r.passed for r in results), [
             (r.name, r.detail) for r in results if not r.passed
         ]
@@ -450,7 +459,7 @@ class TestVerifyParameterMatrix:
     ):
         grid = make_grid(N, points, length)
         params = SystemParams(N, s, alpha, beta, gamma)
-        results = run_all_checks(grid, params, seed=0)
+        results = run_all_checks(measure_constants(grid, params), seed=0)
         assert all(r.passed for r in results), [
             (r.name, r.detail) for r in results if not r.passed
         ]

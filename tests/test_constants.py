@@ -251,6 +251,23 @@ class TestMeasureConstants:
         )
         assert rep.threshold == pytest.approx(A * rep.radius / 2.0, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "N,points,length,s,alpha,beta,gamma",
+        [
+            (1, 256, 40.0, 0.25, 1.8, 1.2, 1),
+            (1, 256, 40.0, 0.25, 2.5, 1.5, 0),
+            (2, 32, 20.0, 0.5, 2.2, 1.4, 1),
+            (2, 32, 20.0, 0.5, 2.4, 1.6, 0),
+        ],
+        ids=["1d-gamma1", "1d-gamma0", "2d-gamma1", "2d-gamma0"],
+    )
+    def test_vector_constant_is_ratio_times_scalar(self, N, points, length, s, alpha, beta, gamma):
+        from fracsys import make_grid
+
+        rep = measure_constants(make_grid(N, points, length), SystemParams(N, s, alpha, beta, gamma))
+        expect = ratio_formula(alpha, beta) * rep.s_scalar
+        assert abs(rep.s_vector - expect) <= 1e-13 * expect
+
     # extreme powers where a cold vector descent stops on a plateau far from
     # the closed form (ratio 2.2175 against 1.5016 for the first pair)
     @pytest.mark.parametrize(
@@ -261,7 +278,6 @@ class TestMeasureConstants:
         params = SystemParams(1, 0.45, alpha, beta, 1)
         rep = measure_constants(grid256, params)
         assert abs(rep.ratio_measured - rep.ratio_formula) <= 1e-6
-        assert rep.vector_iterations <= 2
 
     @pytest.mark.parametrize(
         "alpha,beta",

@@ -93,27 +93,27 @@ class TestScaleToNorm:
     def test_identity_at_current_norm(self, sub_setup):
         grid, params = sub_setup
         f = make_forcing(gaussian_density(grid, width=2.0), params)
-        g = scale_to_norm(f, f.norm(params.gamma), params.gamma)
+        g = scale_to_norm(f, f.norm)
         np.testing.assert_allclose(g.density.values, f.density.values, rtol=1e-12)
 
     def test_hits_target(self, sub_setup):
         grid, params = sub_setup
         f = make_forcing(gaussian_density(grid, width=2.0), params)
-        g = scale_to_norm(f, 0.125, params.gamma)
-        assert g.norm(params.gamma) == pytest.approx(0.125, rel=1e-12)
+        g = scale_to_norm(f, 0.125)
+        assert g.norm == pytest.approx(0.125, rel=1e-12)
 
     def test_composes_multiplicatively(self, sub_setup):
         grid, params = sub_setup
         f = make_forcing(gaussian_density(grid, width=2.0), params)
-        g = scale_to_norm(scale_to_norm(f, 0.5, 1), 0.2, 1)
-        h = scale_to_norm(f, 0.2, 1)
+        g = scale_to_norm(scale_to_norm(f, 0.5), 0.2)
+        h = scale_to_norm(f, 0.2)
         np.testing.assert_allclose(g.density.values, h.density.values, rtol=1e-12)
 
     def test_rejects_nonpositive_target(self, sub_setup):
         grid, params = sub_setup
         f = make_forcing(gaussian_density(grid, width=2.0), params)
         with pytest.raises(ValueError):
-            scale_to_norm(f, 0.0, 1)
+            scale_to_norm(f, 0.0)
 
 
 class TestKernelMatch:
@@ -170,7 +170,7 @@ class TestDuality:
         f = make_forcing(gaussian_density(grid, width=2.0), params)
         u = riesz_representer(f, params)
         norm_u = hs_seminorm(u, params.s) if gamma == 0 else hs_full_norm(u, params.s)
-        ratio = dual_pairing(f, u) / (f.norm(gamma) * norm_u)
+        ratio = dual_pairing(f, u) / (f.norm * norm_u)
         assert ratio >= 0.999
 
     def test_homogeneous_dual_dominates_on_mean_zero(self, crit_setup):

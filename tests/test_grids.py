@@ -49,6 +49,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(1, 32, 0.0)
 
+    @pytest.mark.parametrize("length", [np.inf, np.nan])
+    def test_rejects_nonfinite_length(self, length):
+        # an infinite box would give NaN coordinates
+        with pytest.raises(ValueError, match="finite"):
+            make_grid(1, 64, length)
+
     def test_frequency_lattice_symmetric_except_nyquist(self):
         g = make_grid(1, 32, 5.0)
         xi = np.sort(g.freq_axis)

@@ -61,12 +61,17 @@ def test_reference_outputs_compare(tmp_path, capsys):
         (root / "cfg" / "same.csv").write_text("x,1.5\n")
     (a / "cfg" / "report.json").write_text('{"r": 2.0, "iterations": 48, "e": -1e-08}\n')
     (b / "cfg" / "report.json").write_text('{"r": 2.0000000000000004, "iterations": 1, "e": -1e-08}\n')
+    # a key dropped and a key appended: the shared values are still compared
+    (a / "cfg" / "keys.json").write_text('{"report": {"s": 1.5, "dropped": 1, "n": 14}}\n')
+    (b / "cfg" / "keys.json").write_text('{"report": {"s": 1.5000000000000002, "n": 14, "added": null}}\n')
     (a / "cfg" / "words.txt").write_text("converged=True\n")
     (b / "cfg" / "words.txt").write_text("converged=False\n")
     (a / "cfg" / "solve.log").write_text("--- exit 0\n")
     assert reference_outputs.main(["compare", str(a), str(b)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines == [
+        "cfg/keys.json: keys only in A: report.dropped; keys only in B: report.added; "
+        "1 floats moved, max relative change 1.5e-16",
         "cfg/report.json: 1 floats moved, max relative change 2.2e-16; integers changed: 48 -> 1",
         "cfg/same.csv: identical",
         f"cfg/solve.log: only in {a}",

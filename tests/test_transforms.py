@@ -119,11 +119,10 @@ def test_measure_constants_budget(problem, fft_calls):
     rep = measure_constants(grid, params)
     _real_only(fft_calls)
     assert rep.scalar_iterations == scalar.iterations
-    # the vector descent starts at the paired scalar minimizer: its two
-    # seeds go forward once, and it only confirms the minimum
-    assert rep.vector_iterations <= 2
+    # one descent; the vector constant is the coupled quotient of the paired
+    # scalar minimizer, whose two members go forward once
     scalar_budget = 2 * (rep.scalar_iterations + 1) + 1
-    assert len(fft_calls) <= scalar_budget + 4 * (rep.vector_iterations + 1) + 2
+    assert len(fft_calls) <= scalar_budget + 2
 
 
 def test_solver_iteration_budget(problem, fft_calls):
@@ -131,10 +130,10 @@ def test_solver_iteration_budget(problem, fft_calls):
     constants = measure_constants(grid, params)
     f = make_forcing(gaussian_density(grid, width=2.0), params)
     g = make_forcing(gaussian_density(grid, width=1.5), params)
-    f = scale_to_norm(f, 0.5 * constants.threshold, params.gamma)
-    g = scale_to_norm(g, 0.5 * constants.threshold, params.gamma)
+    f = scale_to_norm(f, 0.5 * constants.threshold)
+    g = scale_to_norm(g, 0.5 * constants.threshold)
     fft_calls.clear()
-    rep = solve_system(f, g, params, grid, constants=constants)
+    rep = solve_system(f, g, constants)
     _real_only(fft_calls)
     assert rep.converged and rep.iterations > 3
     # the two forcings go forward once; the last pass evaluates a gradient,
@@ -153,7 +152,7 @@ def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch)
     grid, params = problem
     constants = measure_constants(grid, params)
     f = make_forcing(gaussian_density(grid, width=2.0), params)
-    f = scale_to_norm(f, 0.5 * constants.threshold, params.gamma)
+    f = scale_to_norm(f, 0.5 * constants.threshold)
     kernel_calls, trial_points, energy_kernel_calls = [], [], []
 
     def counted_kernel(x, *args, **kwargs):
@@ -173,7 +172,7 @@ def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch)
     monkeypatch.setattr(solve_mod, "_step", counted_step)
     # the energy and the gradient read the solver's pair and take no powers
     monkeypatch.setattr(energy_mod, "coupling_terms", energy_kernel)
-    rep = solve_system(f, f, params, grid, constants=constants)
+    rep = solve_system(f, f, constants)
     assert rep.converged and rep.iterations > 3
     assert energy_kernel_calls == []
     # the start and then trial points only, each at most once
