@@ -72,21 +72,19 @@ class ExperimentConfig:
     # sweep
     sweep_pairs: int = 0
 
-    _INT_KEYS = {"dimension", "gamma", "grid_size", "max_iter", "seed", "f_mode", "g_mode", "sweep_pairs"}
-    _STR_KEYS = {"output", "f_kind", "g_kind"}
-    _MINIMUM = {"tol": 0.0, "max_iter": 1, "seed": 0}
+    _MINIMUM = {
+        "tol": 0.0, "max_iter": 1, "seed": 0,
+        "f_fraction_of_d": 0.0, "g_fraction_of_d": 0.0, "sweep_pairs": 0,
+    }
 
     def set(self, key, raw):
-        if not hasattr(self, key) or key.startswith("_"):
+        """Convert raw to the type of key's default and check it."""
+        field = self.__dataclass_fields__.get(key)
+        if field is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if key in self._INT_KEYS:
-            value = int(raw)
-        elif key in self._STR_KEYS:
-            value = str(raw)
-        else:
-            value = float(raw)
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {raw!r}")
+        value = type(field.default)(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
         if key in self._MINIMUM and value < self._MINIMUM[key]:
             raise ConfigError(f"{key} must be at least {self._MINIMUM[key]}, got {raw!r}")
         if key == "gamma" and value not in (-1, 0, 1):
@@ -96,11 +94,7 @@ class ExperimentConfig:
     def as_dict(self):
         """The fully resolved config: an inferred gamma appears as the
         regime it resolves to."""
-        out = {
-            k: getattr(self, k)
-            for k in self.__dataclass_fields__
-            if not k.startswith("_")
-        }
+        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
         out["gamma"] = self.params().gamma
         return out
 
@@ -148,6 +142,13 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _set(cfg, where, key, raw):
+    try:
+        cfg.set(key, raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_config_file(path):
     cfg = ExperimentConfig()
     text = Path(path).read_text()
@@ -158,26 +159,28 @@ def parse_config_file(path):
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected KEY = VALUE, got {line!r}")
         key, _, raw = stripped.partition("=")
-        try:
-            cfg.set(key.strip(), raw.strip())
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+        _set(cfg, f"{path}:{lineno}", key.strip(), raw.strip())
     return cfg
 
 
-# config keys that a command-line flag of the same name can override
+# config keys that a command-line flag, the key with dashes for underscores,
+# can override; the flag's value is parsed and checked like a file line
 _FLAG_KEYS = (
     "dimension", "s", "alpha", "beta", "grid_size", "box_length",
     "tol", "max_iter", "output", "seed",
 )
 
 
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
 def build_config(args):
     cfg = parse_config_file(args.config) if args.config else ExperimentConfig()
     for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg.set(key, value)
+        raw = getattr(args, key)
+        if raw is not None:
+            _set(cfg, _flag(key), key, raw)
     return cfg
 
 
@@ -340,20 +343,10 @@ def make_parser():
         prog="fracsys",
         description="Coupled fractional-system lab: constants, profiles, solves, checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("constants", "bubble", "ground-state", "solve", "verify"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="KEY = VALUE config file")
-        p.add_argument("--dimension", type=int, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--grid-size", dest="grid_size", type=int, default=None)
-        p.add_argument("--box-length", dest="box_length", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="KEY = VALUE config file")
+    for key in _FLAG_KEYS:
+        parser.add_argument(_flag(key), help=f"config key {key}")
     return parser
 
 

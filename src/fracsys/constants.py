@@ -186,8 +186,11 @@ class QuotientResult:
 
 
 def _default_seed_field(grid):
-    r = grid.radius_from(np.zeros(grid.dimension))
-    return np.exp(-(r**2) / 4.0)
+    # on a box near the float range the squared radius overflows to inf,
+    # and exp(-inf) = 0 is the seed's intended value there
+    with np.errstate(over="ignore"):
+        r = grid.radius_from(np.zeros(grid.dimension))
+        return np.exp(-(r**2) / 4.0)
 
 
 def _relative_gap(q, ds, slope):

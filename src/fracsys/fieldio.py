@@ -64,29 +64,9 @@ def load_field(path):
     return Field(grid, values.reshape(grid.shape))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        # JSON has no nan or inf: those become null.  Wrap the rest so the
-        # encoder below can format them deterministically.
-        return _Float(obj) if np.isfinite(obj) else None
-    return obj
-
-
-class _Float(float):
-    pass
-
-
 def dump_json(obj, path):
-    """Write JSON with all floats at 17 significant digits and non-finite
-    floats as null."""
+    """Write JSON with every number formatted by fmt and non-finite floats
+    as null."""
 
     def encode(o, indent=0):
         pad = "  " * indent
@@ -97,24 +77,22 @@ def dump_json(obj, path):
                 f'{pad}  "{k}": {encode(v, indent + 1)}' for k, v in o.items()
             ]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-        if isinstance(o, list):
+        if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
             items = [f"{pad}  {encode(v, indent + 1)}" for v in o]
             return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-        if isinstance(o, bool):
-            return "true" if o else "false"
         if o is None:
             return "null"
-        if isinstance(o, _Float):
-            return fmt(o)
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
         if isinstance(o, str):
             return json.dumps(o)
+        if isinstance(o, (float, np.floating)):
+            return fmt(o) if np.isfinite(o) else "null"
+        if isinstance(o, (int, np.integer, np.bool_)):
+            return fmt(o)
         raise TypeError(f"cannot encode {type(o)}")
 
-    text = encode(_jsonable(obj)) + "\n"
+    text = encode(obj) + "\n"
     Path(path).write_text(text)
     return text
 

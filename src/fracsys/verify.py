@@ -69,7 +69,7 @@ def check_multiplier_exactness(grid, params, frac_lap=None):
     err1 = np.max(np.abs(out1.values - lap)) / max(np.max(np.abs(lap)), 1e-300)
     worst = max(worst, err1)
     return CheckResult(
-        "multiplier_exactness", worst <= 1e-12, f"max relative error {worst:.3e}"
+        "multiplier_exactness", bool(worst <= 1e-12), f"max relative error {worst:.3e}"
     )
 
 

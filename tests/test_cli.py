@@ -1,11 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracsys import Field, load_field, make_grid, save_field
 from fracsys.fieldio import dump_json, fmt
-from fracsys.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, parse_config_file
+from fracsys.cli import (
+    _FLAG_KEYS,
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    build_config,
+    main,
+    make_parser,
+    parse_config_file,
+)
 from fracsys.verify import run_all_checks
 from fracsys import SystemParams, measure_constants
 
@@ -93,6 +106,30 @@ class TestFieldIO:
         text = dump_json(payload, tmp_path / "r.json")
         assert json.loads(text, parse_constant=reject) == {"a": None, "b": [None, None], "c": 0.5}
 
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (np.True_, "true"),
+            (False, "false"),
+            (np.int64(-7), "-7"),
+            (np.float32(0.5), "0.5"),
+            (-0.0, "-0"),
+            (1e300, "1.0000000000000001e+300"),
+            (np.float64(np.nan), "null"),
+            (None, "null"),
+            ("a\"b", '"a\\"b"'),
+            ((1, 2.5), "[\n  1,\n  2.5\n]"),
+            ({}, "{}"),
+            ([], "[]"),
+            ((), "[]"),
+            ({"x": [{}, ()]}, '{\n  "x": [\n    {},\n    []\n  ]\n}'),
+        ],
+        ids=["np-bool", "bool", "np-int", "np-float32", "negative-zero", "huge", "np-nan",
+             "none", "string", "tuple", "empty-dict", "empty-list", "empty-tuple", "nested"],
+    )
+    def test_dump_json_values(self, tmp_path, value, text):
+        assert dump_json(value, tmp_path / "r.json") == text + "\n"
+
 
 class TestConfigParsing:
     def test_key_value_file(self, tmp_path):
@@ -107,12 +144,14 @@ class TestConfigParsing:
         assert cfg.seed == 7
 
     def test_unknown_key_rejected(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("does_not_exist = 3\n")
         from fracsys.cli import ConfigError
 
-        with pytest.raises(ConfigError):
-            parse_config_file(cfg_file)
+        cfg_file = tmp_path / "run.cfg"
+        # a method or class constant of the config is not a key either
+        for key in ("does_not_exist", "params", "_MINIMUM"):
+            cfg_file.write_text(f"{key} = 3\n")
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_file(cfg_file)
 
     def test_flag_overrides_file(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -134,6 +173,29 @@ class TestConfigParsing:
         assert code == EXIT_OK
         payload = json.loads((out / "constants.json").read_text())
         assert payload["config"]["alpha"] == 2.0
+        # every flag is parsed and checked like the file line of its key
+        base = "dimension = 2\ns = 0.3\nalpha = 1.2\nbeta = 1.3\n"
+        values = {
+            "dimension": "1", "s": "0.35", "alpha": "1.25", "beta": "1.4",
+            "grid_size": "32", "box_length": "12.5", "tol": "1e-9",
+            "max_iter": "77", "output": str(out), "seed": "5",
+        }
+        assert set(values) == set(_FLAG_KEYS)
+        cfg_file.write_text(base)
+        default = parse_config_file(cfg_file).as_dict()
+        for key, raw in values.items():
+            flag = "--" + key.replace("_", "-")
+            args = make_parser().parse_args(["solve", "--config", str(cfg_file), flag, raw])
+            by_flag = build_config(args).as_dict()
+            line_file = tmp_path / f"{key}.cfg"
+            line_file.write_text(f"{base}{key} = {raw}\n")
+            assert by_flag == parse_config_file(line_file).as_dict(), key
+            assert by_flag != default, key
+
+    @pytest.mark.parametrize("flag,raw", [("--grid-size", "abc"), ("--s", "x")])
+    def test_malformed_flag_is_config_error(self, tmp_path, capsys, flag, raw):
+        assert run_cli(["constants", flag, raw, "--output", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert f"config error: {flag}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags,cfg_text,message",
@@ -150,6 +212,9 @@ class TestConfigParsing:
             ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nmax_iter = 0\n", "at least 1"),
             (["--seed", "-1"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "at least 0"),
             ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\ngamma = 7\n", "gamma must be"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nf_fraction_of_d = -0.5\n", "at least 0"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\ng_fraction_of_d = -0.5\n", "at least 0"),
+            ([], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\nsweep_pairs = -4\n", "at least 0"),
         ],
         ids=[
             "tol-nan-flag",
@@ -160,6 +225,9 @@ class TestConfigParsing:
             "max-iter-zero-in-file",
             "seed-negative-flag",
             "gamma-out-of-range-in-file",
+            "f-fraction-negative-in-file",
+            "g-fraction-negative-in-file",
+            "sweep-pairs-negative-in-file",
         ],
     )
     def test_nonfinite_value_is_config_error(self, tmp_path, capsys, flags, cfg_text, message):
@@ -198,7 +266,8 @@ class TestSubcommands:
         code = run_cli(["constants", "--grid-size", "64", "--box-length", "1e308",
                         "--output", str(tmp_path / "c")])
         assert code == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure"), err
 
     def test_constants_rejects_power_at_one(self, tmp_path, capsys):
         code = run_cli(
@@ -410,6 +479,7 @@ class TestVerifySubcritical:
         assert all(r.passed for r in results), [
             (r.name, r.detail) for r in results if not r.passed
         ]
+        assert [type(r.passed) for r in results] == [bool] * 7
 
 
 class TestSolveDeterminism:
@@ -463,3 +533,26 @@ class TestVerifyParameterMatrix:
         assert all(r.passed for r in results), [
             (r.name, r.detail) for r in results if not r.passed
         ]
+
+
+class TestEntryPoint:
+    """`python -m fracsys` in a fresh interpreter."""
+
+    @pytest.mark.parametrize(
+        "args,code,stderr",
+        [
+            (["constants", "--grid-size", "16"], EXIT_OK, None),
+            (["constants", "--grid-size", "abc"], EXIT_CONFIG, "config error"),
+            ([], EXIT_CONFIG, "required: command"),
+        ],
+        ids=["constants", "malformed-flag", "no-command"],
+    )
+    def test_module_exit_codes(self, tmp_path, args, code, stderr):
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracsys", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr == "" if stderr is None else stderr in proc.stderr
