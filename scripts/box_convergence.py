@@ -6,10 +6,10 @@ truncation error.  Doubling box length and resolution together (fixed grid
 spacing) shows how the scalar constant, the measured ratio, and the derived
 radius/threshold settle.
 
-`measure_constants` seeds the vector descent at the paired scalar
-minimizer, so the ratio column shows how well that seeded descent holds the
-closed form, not a cold measurement; `constants_sweep.py` keeps the cold
-one, two independent minimizations from the default seed.
+`measure_constants` runs no vector descent: its S_vector is the coupled
+quotient of the paired scalar minimizer, so the ratio column equals the
+closed form `ratio_formula` by construction.  `constants_sweep.py` keeps
+the cold ratio, two independent minimizations from the default seed.
 """
 
 import argparse

@@ -32,9 +32,8 @@ def main():
 
     rows = []
     for gamma, p in ((0, 4.0), (1, 3.0)):
-        for a, b, ratio, margin in coercivity_sweep(
-            lambda x, y, g=gamma: SystemParams(1, 0.25, x, y, g), p, n_pairs=50
-        ):
+        base = SystemParams(1, 0.25, p / 2.0, p / 2.0, gamma)
+        for a, b, ratio, margin in coercivity_sweep(base, n_pairs=50):
             rows.append((gamma, a, b, ratio, margin))
     write_csv(
         out / "sweep_closed_form.csv",

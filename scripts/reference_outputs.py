@@ -5,7 +5,8 @@
     python scripts/reference_outputs.py compare A B
 
 The reference configs are L=40, seed 7, Gaussian f and g of widths 2 and
-1.5 scaled to half of d, tol 1e-8:
+1.5 scaled to half of d, tol 1e-8, and a 50-pair coercivity sweep (written
+by `constants`):
 
   critical-3d   N=3, P=64, s=0.5, alpha=1.8, beta=1.2: solve
   lab-2d        N=2, P=256, s=0.5, alpha=2.2, beta=1.4: constants, solve,
@@ -48,6 +49,7 @@ COMMON = {
     "g_kind": "gaussian",
     "g_width": 1.5,
     "g_fraction_of_d": 0.5,
+    "sweep_pairs": 50,
 }
 
 CONFIGS = {

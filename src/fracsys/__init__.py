@@ -26,7 +26,6 @@ from .forcing import (
     make_forcing,
     mode_density,
     riesz_representer,
-    save_functional,
     scale_functional,
     scale_to_norm,
 )

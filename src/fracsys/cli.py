@@ -203,11 +203,7 @@ def cmd_constants(cfg):
     dump_json({"config": cfg.as_dict(), "report": row}, out / "constants.json")
     write_csv(out / "constants.csv", list(row), [list(row.values())])
     if cfg.sweep_pairs > 0:
-        rows = coercivity_sweep(
-            lambda a, b: SystemParams(params.dimension, params.s, a, b, params.gamma),
-            params.coupling_exponent,
-            cfg.sweep_pairs,
-        )
+        rows = coercivity_sweep(params, cfg.sweep_pairs)
         write_csv(
             out / "coercivity_sweep.csv",
             ["alpha", "beta", "ratio_formula", "coercivity_lhs"],
@@ -338,8 +334,15 @@ def cmd_verify(cfg):
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, which main maps to EXIT_CONFIG."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracsys",
         description="Coupled fractional-system lab: constants, profiles, solves, checks.",
     )
@@ -360,9 +363,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError) as exc:

@@ -97,18 +97,19 @@ def verify_strictness(alpha, beta):
     return ratio_formula(alpha, beta) - 1.0
 
 
-def _k_margin(alpha, beta, p):
-    return alpha * alpha + beta * beta + alpha * beta - p
+def _k_margin(params):
+    a, b = params.alpha, params.beta
+    return a * a + b * b + a * b - params.coupling_exponent
 
 
-def coercivity_lhs(alpha, beta, params, s_scalar, s_vector):
+def coercivity_lhs(params, s_scalar, s_vector):
     """Margin K * (S_vector / S_scalar)^(p/2) with K = a^2+b^2+ab-p.
 
     The ball construction needs this to exceed 2; K <= 0 cannot happen for
     admissible powers and is flagged as an internal inconsistency.
     """
     p = params.coupling_exponent
-    K = _k_margin(alpha, beta, p)
+    K = _k_margin(params)
     if K <= 0:
         raise ValueError(f"nonpositive margin coefficient K={K} (inconsistent powers)")
     if s_scalar <= 0 or s_vector <= 0:
@@ -122,41 +123,40 @@ def convexity_radius(params, s_scalar):
     if s_scalar <= 0:
         raise ValueError("scalar constant must be positive")
     p = params.coupling_exponent
-    K = _k_margin(params.alpha, params.beta, p)
+    K = _k_margin(params)
     return float((p / K) ** (1.0 / (p - 2.0)) * s_scalar ** (p / (2.0 * (p - 2.0))))
 
 
-def smallness_threshold(params, radius, s_scalar, s_vector):
-    """Forcing-size bound d = A*r/2 with A = 1/2 - (1/K)(S_scalar/S_vector)^(p/2).
+def smallness_threshold(params, s_scalar, s_vector):
+    """Forcing-size bound d = A*r/2 with A = 1/2 - (1/K)(S_scalar/S_vector)^(p/2)
+    and r the convexity radius at S_scalar.
 
     For max dual norm < d the boundary energy A r^2 - r(|f|+|g|) stays
     strictly positive, so the ball minimum is interior.  Raises when the
     sufficient condition fails at the supplied constants (A <= 0).
     """
+    r = convexity_radius(params, s_scalar)
     p = params.coupling_exponent
-    K = _k_margin(params.alpha, params.beta, p)
-    A = 0.5 - (1.0 / K) * (s_scalar / s_vector) ** (p / 2.0)
+    A = 0.5 - (1.0 / _k_margin(params)) * (s_scalar / s_vector) ** (p / 2.0)
     if A <= 0:
         raise ValueError(
             f"sufficient smallness condition fails: A={A} <= 0 at the supplied constants"
         )
-    return float(A * radius / 2.0)
+    return float(A * r / 2.0)
 
 
-def coercivity_sweep(params_factory, p, n_pairs=50):
+def coercivity_sweep(params, n_pairs=50):
     """Closed-form margin across n_pairs admissible (alpha, beta) with
-    alpha + beta = p.
+    alpha + beta = p, the coupling exponent of params, in its regime.
 
-    params_factory(alpha, beta) builds the params carrying the regime;
-    returns rows (alpha, beta, ratio, margin).
+    Returns rows (alpha, beta, ratio, margin).
     """
-    alphas = np.linspace(1.0, p - 1.0, n_pairs + 2)[1:-1]
+    p = params.coupling_exponent
     rows = []
-    for a in alphas:
-        b = p - a
-        prm = params_factory(float(a), float(b))
-        ratio = ratio_formula(a, b)
-        rows.append((float(a), float(b), ratio, coercivity_lhs(a, b, prm, 1.0, ratio)))
+    for a in np.linspace(1.0, p - 1.0, n_pairs + 2)[1:-1]:
+        prm = SystemParams(params.dimension, params.s, float(a), float(p - a), params.gamma)
+        ratio = ratio_formula(prm.alpha, prm.beta)
+        rows.append((prm.alpha, prm.beta, ratio, coercivity_lhs(prm, 1.0, ratio)))
     return rows
 
 
@@ -294,19 +294,38 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """Measured constants plus the derived proof quantities for one problem:
-    r and d certify a solve on this grid with these params and no other."""
+    """Measured constants of one problem and the proof quantities they
+    determine: r and d certify a solve on this grid with these params and
+    no other.  Constants failing the smallness condition raise ValueError."""
 
     s_scalar: float
     s_vector: float
-    ratio_measured: float
-    ratio_formula: float
-    radius: float
-    threshold: float
-    coercivity_lhs: float
     grid: Grid
     params: SystemParams
     scalar_iterations: int
+
+    def __post_init__(self):
+        smallness_threshold(self.params, self.s_scalar, self.s_vector)
+
+    @property
+    def ratio_measured(self):
+        return self.s_vector / self.s_scalar
+
+    @property
+    def ratio_formula(self):
+        return ratio_formula(self.params.alpha, self.params.beta)
+
+    @property
+    def radius(self):
+        return convexity_radius(self.params, self.s_scalar)
+
+    @property
+    def threshold(self):
+        return smallness_threshold(self.params, self.s_scalar, self.s_vector)
+
+    @property
+    def coercivity_lhs(self):
+        return coercivity_lhs(self.params, self.s_scalar, self.s_vector)
 
     def as_dict(self):
         return {
@@ -326,25 +345,13 @@ class ConstantsReport:
 
 
 def measure_constants(grid, params, opts=QUOTIENT_OPTS):
-    """Minimize the scalar quotient and assemble the derived constants.
+    """Minimize the scalar quotient and report the constants.
 
     S_vector is the coupled quotient of the paired scalar minimizer, which
     attains ratio_formula * S_scalar exactly on the grid; a cold vector
     descent from the default seed is verify's independent check of it.
     """
     scalar = minimize_quotient(grid, params, mode="scalar", opts=opts)
-    s_s = scalar.value
-    s_v = vector_quotient(*paired_minimizer(scalar.fields[0], params.alpha, params.beta), params)
-    r = convexity_radius(params, s_s)
-    return ConstantsReport(
-        s_scalar=s_s,
-        s_vector=s_v,
-        ratio_measured=s_v / s_s,
-        ratio_formula=ratio_formula(params.alpha, params.beta),
-        radius=r,
-        threshold=smallness_threshold(params, r, s_s, s_v),
-        coercivity_lhs=coercivity_lhs(params.alpha, params.beta, params, s_s, s_v),
-        grid=grid,
-        params=params,
-        scalar_iterations=scalar.iterations,
-    )
+    w = scalar.fields[0]
+    s_vector = vector_quotient(*paired_minimizer(w, params.alpha, params.beta), params)
+    return ConstantsReport(scalar.value, s_vector, grid, params, scalar.iterations)

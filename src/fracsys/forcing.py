@@ -1,9 +1,9 @@
-"""Nonhomogeneous data: nonnegative densities with cached dual norms.
+"""Nonhomogeneous data: nonnegative densities with their regime's dual norm.
 
 A forcing term acts on test fields through the L2 pairing with its density.
-Dual norms are computed spectrally: weight |xi|^(-2s) off the zero mode for
-the homogeneous dual, weight 1/(1 + |xi|^(2s)) for the dual of the full
-norm (the exact dual of the inner product the solver descends in, so the
+Its dual norm, in the regime it was made for, is computed spectrally:
+weight |xi|^(-2s) off the zero mode at gamma=0, weight 1/(1 + |xi|^(2s)) at
+gamma=1 (the exact dual of the inner product the solver descends in, so the
 Riesz representer saturates the duality bound).
 
 In the gamma=0 regime a density's mean is projected out before anything
@@ -34,27 +34,21 @@ __all__ = [
     "indicator_density",
     "mode_density",
     "build_density",
-    "save_functional",
 ]
 
 
 @dataclass(frozen=True)
 class Functional:
-    """A nonnegative density with both dual norms and its support, for the
-    order s (of the dual norms) and regime gamma (mean removed if 0)."""
+    """A forcing for the order s and regime gamma it was made for: its density
+    (the nonnegative input, less its mean at gamma=0, so signed there), the
+    density's dual norm in that regime, and the support of the input."""
 
     density: Field
-    dual_norm_hdot: float
-    dual_norm_hfull: float
+    norm: float
     support_mask: np.ndarray
     mean_removed: float
     s: float
     gamma: int
-
-    @property
-    def norm(self):
-        """The dual norm of the regime the forcing was made for."""
-        return self.dual_norm_hdot if self.gamma == 0 else self.dual_norm_hfull
 
     @property
     def grid(self):
@@ -62,7 +56,7 @@ class Functional:
 
 
 def make_forcing(density, params):
-    """Validate a density and cache its dual norms.
+    """Validate a density and cache its dual norm in the regime of params.
 
     Rejects negative entries and identically-zero densities.  gamma=0
     projects out the mean first (reported in ``mean_removed``).
@@ -76,23 +70,20 @@ def make_forcing(density, params):
     if params.gamma == 0:
         mean_removed = float(vals.mean())
         density = Field(density.grid, vals - mean_removed)
-    grid = density.grid
-    n_hdot = grid.operator(params.s, 0).dual_norm(density.values)
-    n_hfull = grid.operator(params.s, 1).dual_norm(density.values)
+    norm = density.grid.operator(params.s, params.gamma).dual_norm(density.values)
     ref = vals.max()
     mask = vals > SUPPORT_EPS_REL * ref
     mask.flags.writeable = False
-    return Functional(density, n_hdot, n_hfull, mask, mean_removed, params.s, params.gamma)
+    return Functional(density, norm, mask, mean_removed, params.s, params.gamma)
 
 
 def scale_functional(f, factor):
-    """Multiply the density by a positive factor; dual norms scale linearly."""
+    """Multiply the density by a positive factor; the dual norm scales linearly."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     return Functional(
         Field(f.grid, f.density.values * factor),
-        f.dual_norm_hdot * factor,
-        f.dual_norm_hfull * factor,
+        f.norm * factor,
         f.support_mask,
         f.mean_removed * factor,
         f.s,
@@ -133,14 +124,14 @@ def dual_pairing(f, u):
     return l2_inner(f.density, u)
 
 
-def riesz_representer(f, params):
-    """Field whose regime inner product against any v equals <f, v>.
+def riesz_representer(f):
+    """Field whose regime inner product against any v equals <f, v>, in the
+    forcing's own regime.
 
     gamma=0: multiplier |xi|^(-2s) off the zero mode; gamma=1: the inverse
     of 1 + |xi|^(2s).
     """
-    op = f.grid.operator(params.s, params.gamma)
-    return Field(f.grid, op.solve(f.density.values))
+    return Field(f.grid, f.grid.operator(f.s, f.gamma).solve(f.density.values))
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +172,6 @@ def mode_density(grid, k=1, amplitude=1.0):
         raise ValueError("mode number must satisfy 1 <= k < P/2")
     x1 = grid.coord_mesh[0]
     return Field(grid, amplitude * (1.0 + np.cos(2.0 * np.pi * k * x1 / grid.box_length)))
-
-
-def save_functional(f, basepath):
-    """Write the density in the field format plus a norms sidecar."""
-    from .fieldio import fmt, save_field
-
-    base = str(basepath)
-    save_field(f.density, base + ".csv")
-    lines = [
-        f"dual_norm_hdot = {fmt(f.dual_norm_hdot)}",
-        f"dual_norm_hfull = {fmt(f.dual_norm_hfull)}",
-        f"mean_removed = {fmt(f.mean_removed)}",
-        f"support_fraction = {fmt(float(np.mean(f.support_mask)))}",
-    ]
-    with open(base + "_norms.txt", "w") as handle:
-        handle.write("\n".join(lines) + "\n")
 
 
 _CONSTRUCTORS = {

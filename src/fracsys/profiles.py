@@ -22,7 +22,7 @@ __all__ = [
     "DEFAULT_FIT_WINDOW",
 ]
 
-# fraction of the half-box bracketing the tail fit; chosen to sit between
+# fraction of the half-box enclosing the tail fit; chosen to sit between
 # the profile core and the periodic wrap (a tunable, not a law)
 DEFAULT_FIT_WINDOW = (0.25, 0.45)
 

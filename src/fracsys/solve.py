@@ -236,10 +236,10 @@ def positivity_check(report):
     }
 
 
-def linear_response(f, g, params):
-    """Solution of the decoupled linear problems (regime operator) u = f:
-    the small-data limit of the forced system."""
-    return riesz_representer(f, params), riesz_representer(g, params)
+def linear_response(f, g):
+    """Solution of the decoupled linear problems (regime operator) u = f in
+    the forcings' own regime: the small-data limit of the forced system."""
+    return riesz_representer(f), riesz_representer(g)
 
 
 def neumann_series_sanity(t_scale, f, g, constants, opts=SOLVER_OPTS):
@@ -254,7 +254,7 @@ def neumann_series_sanity(t_scale, f, g, constants, opts=SOLVER_OPTS):
     if not ts or any(t <= 0 for t in ts) or any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_scale must be positive and strictly decreasing")
     params = constants.params
-    lu, lv = linear_response(f, g, params)
+    lu, lv = linear_response(f, g)
     lin_norm = pair_norm(lu, lv, params)
     rows = []
     for t in ts:

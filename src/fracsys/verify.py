@@ -25,7 +25,15 @@ from .energy import energy, gradient, hessian_quadform, small_t_sign_scan
 from .forcing import gaussian_density, make_forcing, scale_to_norm
 from .grids import Field, SystemParams, pair_norm
 
-__all__ = ["CheckResult", "run_all_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_all_checks"]
+
+# probe counts of the randomized checks
+GRADIENT_DIRECTIONS = 20
+GRADIENT_POINTS = 5
+HESSIAN_SAMPLES = 50
+RATIO_TOL = 0.02  # relative tolerance of the cold vector descent's ratio
+SMOOTHING_DECAY = 8.0  # of the Gaussian filter on |xi|^2 that smooths the probes
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -34,16 +42,15 @@ class CheckResult:
     detail: str
 
 
-def _smooth_field(grid, rng, scale=1.0, decay=8.0):
+def _smooth_field(grid, rng, scale=1.0):
     z = rng.standard_normal(grid.shape)
     lap = grid.operator(1, 0)  # its symbol is |xi|^2 on the half lattice
-    return Field(grid, scale * lap.backward(np.exp(-lap.symbol / decay) * lap.forward(z)))
+    return Field(grid, scale * lap.backward(np.exp(-lap.symbol / SMOOTHING_DECAY) * lap.forward(z)))
 
 
-def check_multiplier_exactness(grid, params, frac_lap=None):
+def check_multiplier_exactness(grid, params):
     """Single Fourier modes must scale by exactly |xi|^(2s); s=1 must
     reproduce the standard spectral Laplacian."""
-    op = frac_lap if frac_lap is not None else grids.frac_laplacian
     s = params.s
     worst = 0.0
     x1 = grid.coord_mesh[0]
@@ -54,7 +61,7 @@ def check_multiplier_exactness(grid, params, frac_lap=None):
         xi_k = 2.0 * np.pi * k / L
         for maker in (np.cos, np.sin):
             mode = Field(grid, maker(xi_k * x1))
-            out = op(mode, s)
+            out = grids.frac_laplacian(mode, s)
             expect = xi_k ** (2.0 * s) * mode.values
             err = np.max(np.abs(out.values - expect)) / max(np.max(np.abs(expect)), 1e-300)
             worst = max(worst, err)
@@ -65,7 +72,7 @@ def check_multiplier_exactness(grid, params, frac_lap=None):
     half_sq = grid.freq_sq_mesh[..., : grid.points_per_axis // 2 + 1]
     axes = tuple(range(grid.dimension))
     lap = np.fft.irfftn(half_sq * np.fft.rfftn(u.values), s=grid.shape, axes=axes)
-    out1 = op(u, 1.0)
+    out1 = grids.frac_laplacian(u, 1.0)
     err1 = np.max(np.abs(out1.values - lap)) / max(np.max(np.abs(lap)), 1e-300)
     worst = max(worst, err1)
     return CheckResult(
@@ -73,7 +80,7 @@ def check_multiplier_exactness(grid, params, frac_lap=None):
     )
 
 
-def check_gradient_consistency(grid, params, rng, n_dirs=20, n_points=5):
+def check_gradient_consistency(grid, params, rng):
     """Energy gradient against central finite differences.
 
     For powers below 2 the coupling's curvature blows up across sign
@@ -85,14 +92,14 @@ def check_gradient_consistency(grid, params, rng, n_dirs=20, n_points=5):
     step = 1e-5
     positive_base = min(params.alpha, params.beta) < 2.0
     worst = 0.0
-    for _ in range(n_points):
+    for _ in range(GRADIENT_POINTS):
         u = _smooth_field(grid, rng, scale=0.5)
         v = _smooth_field(grid, rng, scale=0.5)
         if positive_base:
             u = Field(grid, np.abs(u.values) + 0.1)
             v = Field(grid, np.abs(v.values) + 0.1)
         gu, gv = gradient(u, v, f, g, params)
-        for _ in range(n_dirs // n_points):
+        for _ in range(GRADIENT_DIRECTIONS // GRADIENT_POINTS):
             phi = _smooth_field(grid, rng)
             psi = _smooth_field(grid, rng)
             pred = grids.l2_inner(gu, phi) + grids.l2_inner(gv, psi)
@@ -105,17 +112,15 @@ def check_gradient_consistency(grid, params, rng, n_dirs=20, n_points=5):
     )
 
 
-def check_hessian_positivity(constants, rng, n_samples=50):
+def check_hessian_positivity(constants, rng):
     """Second variation positive at random interior points of the measured
-    ball, and above the explicit lower bound with bracket a(a-1)+b(b-1)+ab."""
+    ball, and at a point of pair norm rho above the certificate's lower
+    bound (1 - (rho/r)^(p-2)) times the direction's squared norm."""
     grid, params, r = constants.grid, constants.params, constants.radius
-    s_scalar = constants.s_scalar
-    a, b = params.alpha, params.beta
     p = params.coupling_exponent
-    bracket = a * (a - 1.0) + b * (b - 1.0) + a * b
     min_q = np.inf
     bound_ok = True
-    for _ in range(n_samples):
+    for _ in range(HESSIAN_SAMPLES):
         u = _smooth_field(grid, rng)
         v = _smooth_field(grid, rng)
         # strictly positive base pair, scaled to a random interior radius
@@ -127,8 +132,7 @@ def check_hessian_positivity(constants, rng, n_samples=50):
         phi = _smooth_field(grid, rng)
         psi = _smooth_field(grid, rng)
         q = hessian_quadform(u, v, phi, psi, params)
-        dir_sq = pair_norm(phi, psi, params) ** 2
-        lower = (1.0 - s_scalar ** (-p / 2.0) / p * target ** (p - 2.0) * bracket) * dir_sq
+        lower = (1.0 - (target / r) ** (p - 2.0)) * pair_norm(phi, psi, params) ** 2
         min_q = min(min_q, q)
         if q < lower - 1e-9 * abs(lower):
             bound_ok = False
@@ -151,7 +155,7 @@ def check_ratio_identity(grid, params, rng):
     return CheckResult("ratio_identity", rel <= 1e-10, f"relative error {rel:.3e}")
 
 
-def check_ratio_measured(constants, tol=0.02):
+def check_ratio_measured(constants):
     """A cold vector descent from the default seed reproduces the
     closed-form ratio against the measured S_scalar.
 
@@ -162,26 +166,20 @@ def check_ratio_measured(constants, tol=0.02):
     cold = minimize_quotient(constants.grid, constants.params, mode="vector")
     measured, target = cold.value / constants.s_scalar, constants.ratio_formula
     rel = abs(measured - target) / target
-    return CheckResult(
-        "ratio_measured", rel <= tol, f"measured {measured:.6f} vs {target:.6f} ({rel:.2%})"
-    )
+    detail = f"measured {measured:.6f} vs {target:.6f} ({rel:.2%})"
+    return CheckResult("ratio_measured", rel <= RATIO_TOL, detail)
 
 
-def check_coercivity_sweep(params, n_pairs=50):
-    """Closed-form margin above 2 across admissible power pairs, both regimes."""
-    crit = params.crit_exp
-    margins = []
-    # critical regime: powers summing to the critical exponent
-    rows0 = coercivity_sweep(
-        lambda a, b: SystemParams(params.dimension, params.s, a, b, 0), crit, n_pairs
-    )
-    margins.extend(row[3] for row in rows0)
-    # subcritical regime: powers summing strictly below critical
+def check_coercivity_sweep(params):
+    """Closed-form margin above 2 across admissible power pairs, both regimes:
+    powers summing to the critical exponent, and strictly below it."""
+    N, s, crit = params.dimension, params.s, params.crit_exp
     p1 = 2.0 + 0.5 * (crit - 2.0)
-    rows1 = coercivity_sweep(
-        lambda a, b: SystemParams(params.dimension, params.s, a, b, 1), p1, n_pairs
-    )
-    margins.extend(row[3] for row in rows1)
+    margins = [
+        row[3]
+        for p, gamma in ((crit, 0), (p1, 1))
+        for row in coercivity_sweep(SystemParams(N, s, p / 2.0, p / 2.0, gamma))
+    ]
     worst = min(margins)
     return CheckResult(
         "coercivity_sweep", worst > 2.0, f"min margin {worst:.6f} over {len(margins)} pairs"
@@ -202,24 +200,13 @@ def check_sign_scan(grid, params):
     )
 
 
-CHECK_NAMES = [
-    "multiplier_exactness",
-    "gradient_consistency",
-    "hessian_positivity",
-    "ratio_identity",
-    "ratio_measured",
-    "coercivity_sweep",
-    "sign_scan",
-]
-
-
-def run_all_checks(constants, seed=0, frac_lap=None):
+def run_all_checks(constants, seed=0):
     """Run the whole suite on the problem of ``constants``, certifying with
     its r; returns the list of CheckResult."""
     rng = np.random.default_rng(seed)
     grid, params = constants.grid, constants.params
     return [
-        check_multiplier_exactness(grid, params, frac_lap=frac_lap),
+        check_multiplier_exactness(grid, params),
         check_gradient_consistency(grid, params, rng),
         check_hessian_positivity(constants, rng),
         check_ratio_identity(grid, params, rng),

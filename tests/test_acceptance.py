@@ -182,9 +182,7 @@ def test_criterion_05_coercivity_sweep():
     t0 = time.time()
     margins = []
     for gamma, p in ((0, 4.0), (1, 3.0)):
-        rows = coercivity_sweep(
-            lambda a, b, g=gamma: SystemParams(1, 0.25, a, b, g), p, n_pairs=50
-        )
+        rows = coercivity_sweep(SystemParams(1, 0.25, p / 2, p / 2, gamma), n_pairs=50)
         assert len(rows) == 50
         margins.extend(r[3] for r in rows)
     worst = min(margins)
@@ -348,7 +346,7 @@ def test_criterion_10_linear_response(main_setup):
     t = 1e-3 * constants.threshold
     ft = scale_functional(f, t / f.norm)
     rep = solve_system(ft, ft, constants, opts=MinimizeOpts(tol=1e-13, max_iter=10000))
-    lu, lv = linear_response(ft, ft, params)
+    lu, lv = linear_response(ft, ft)
     ratio = pair_norm(rep.u_bar, rep.v_bar, params) / pair_norm(lu, lv, params)
     elapsed = time.time() - t0
     ok = abs(ratio - 1.0) <= 0.05 and elapsed < 120.0

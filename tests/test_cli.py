@@ -198,6 +198,26 @@ class TestConfigParsing:
         assert f"config error: {flag}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["constants", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            ([], "required: command"),
+            (["nosuch"], "invalid choice: 'nosuch'"),
+        ],
+        ids=["unknown-flag", "no-command", "unknown-command"],
+    )
+    def test_usage_error_returns_config_exit_in_process(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "usage: fracsys" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         "flags,cfg_text,message",
         [
             (["--tol", "nan"], "alpha = 1.5\nbeta = 1.5\ngrid_size = 64\n", "must be finite"),
@@ -368,17 +388,20 @@ class TestDeterminism:
 
 
 class TestVerifyDetectsCorruption:
-    def test_corrupted_multiplier_fails_named_check(self):
+    def test_corrupted_multiplier_fails_named_check(self, monkeypatch):
+        import fracsys.grids
+
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 2.0, 2.0, 1)
+        original = fracsys.grids.frac_laplacian
 
         def corrupted(u, s):
-            from fracsys import frac_laplacian
-
-            out = frac_laplacian(u, s)
+            out = original(u, s)
             return Field(u.grid, out.values * (1.0 + 1e-6))
 
-        results = run_all_checks(measure_constants(grid, params), seed=0, frac_lap=corrupted)
+        constants = measure_constants(grid, params)
+        monkeypatch.setattr("fracsys.grids.frac_laplacian", corrupted)
+        results = run_all_checks(constants, seed=0)
         by_name = {r.name: r for r in results}
         assert not by_name["multiplier_exactness"].passed
         # the corruption is injected only into that check's operator

@@ -71,28 +71,31 @@ class TestStrictness:
 class TestCoercivity:
     def test_symmetric_case(self):
         params = SystemParams(1, 0.25, 2.0, 2.0, 0)  # p = 4, K = 8
-        assert coercivity_lhs(2.0, 2.0, params, 1.0, 2.0) == pytest.approx(32.0, rel=1e-12)
+        assert coercivity_lhs(params, 1.0, 2.0) == pytest.approx(32.0, rel=1e-12)
 
     def test_three_one_case(self):
         params = SystemParams(1, 0.25, 3.0, 1.0, 0)  # K = 9
-        got = coercivity_lhs(3.0, 1.0, params, 1.0, ratio_formula(3.0, 1.0))
+        got = coercivity_lhs(params, 1.0, ratio_formula(3.0, 1.0))
         assert got == pytest.approx(9.0 * ratio_formula(3.0, 1.0) ** 2, rel=1e-12)
         assert got == pytest.approx(27.7128, rel=1e-4)
 
     def test_swap_invariance(self):
         pa = SystemParams(1, 0.25, 2.5, 1.5, 0)
         pb = SystemParams(1, 0.25, 1.5, 2.5, 0)
-        ra = coercivity_lhs(2.5, 1.5, pa, 1.3, 1.3 * ratio_formula(2.5, 1.5))
-        rb = coercivity_lhs(1.5, 2.5, pb, 1.3, 1.3 * ratio_formula(1.5, 2.5))
+        ra = coercivity_lhs(pa, 1.3, 1.3 * ratio_formula(2.5, 1.5))
+        rb = coercivity_lhs(pb, 1.3, 1.3 * ratio_formula(1.5, 2.5))
         assert ra == pytest.approx(rb, rel=1e-12)
 
     @pytest.mark.parametrize("gamma,p", [(0, 4.0), (1, 3.0)])
     def test_sweep_margin_exceeds_two(self, gamma, p):
-        rows = coercivity_sweep(
-            lambda a, b: SystemParams(1, 0.25, a, b, gamma), p, n_pairs=50
-        )
+        rows = coercivity_sweep(SystemParams(1, 0.25, p / 2, p / 2, gamma), n_pairs=50)
         assert len(rows) == 50
         assert min(r[3] for r in rows) > 2.0
+        # every pair sums to the base's coupling exponent, in its regime
+        assert all(abs(a + b - p) <= 1e-12 for a, b, _, _ in rows)
+        for a, b, ratio, margin in rows[::7]:
+            assert ratio == ratio_formula(a, b)
+            assert margin == coercivity_lhs(SystemParams(1, 0.25, a, b, gamma), 1.0, ratio)
 
 
 class TestConvexityRadius:
@@ -120,31 +123,31 @@ class TestConvexityRadius:
 class TestSmallnessThreshold:
     def test_symmetric_closed_form(self):
         params = SystemParams(1, 0.25, 2.0, 2.0, 0)
-        r = 1.0
-        d = smallness_threshold(params, r, 1.0, 2.0)
+        r = convexity_radius(params, 1.0)
+        d = smallness_threshold(params, 1.0, 2.0)
         # A = 1/2 - (1/8)(1/2)^2 = 15/32, d = A r / 2
-        assert d == pytest.approx(15.0 / 64.0, rel=1e-12)
+        assert d == pytest.approx(15.0 / 64.0 * r, rel=1e-12)
 
     def test_boundary_energy_margin(self):
         # with both norms at d/2 the boundary lower bound A r^2 - r * d is
         # exactly half of A r^2
         params = SystemParams(1, 0.25, 2.0, 2.0, 0)
-        r = 1.7
-        d = smallness_threshold(params, r, 1.0, 2.0)
+        r = convexity_radius(params, 1.7)
+        d = smallness_threshold(params, 1.7, 3.4)
         A = 2.0 * d / r
         assert A * r**2 - r * d == pytest.approx(0.5 * A * r**2, rel=1e-12)
 
     def test_positive_whenever_margin_exceeds_two(self):
         params = SystemParams(1, 0.25, 2.5, 1.5, 1)
         ratio = ratio_formula(2.5, 1.5)
-        assert coercivity_lhs(2.5, 1.5, params, 1.0, ratio) > 2.0
-        assert smallness_threshold(params, 1.0, 1.0, ratio) > 0
+        assert coercivity_lhs(params, 1.0, ratio) > 2.0
+        assert smallness_threshold(params, 1.0, ratio) > 0
 
     def test_raises_when_condition_fails(self):
         params = SystemParams(1, 0.25, 2.0, 2.0, 1)
         # a vector constant far below the scalar one breaks the bound
         with pytest.raises(ValueError):
-            smallness_threshold(params, 1.0, 1.0, 0.2)
+            smallness_threshold(params, 1.0, 0.2)
 
 
 class TestQuotients:
@@ -250,6 +253,46 @@ class TestMeasureConstants:
             params_sub3.coupling_exponent / 2.0
         )
         assert rep.threshold == pytest.approx(A * rep.radius / 2.0, rel=1e-12)
+
+    def test_derived_quantities_are_not_inputs(self, grid256, params_sub3):
+        from fracsys import ConstantsReport
+
+        rep = measure_constants(grid256, params_sub3)
+        fields = (rep.s_scalar, rep.s_vector, grid256, params_sub3, rep.scalar_iterations)
+        assert ConstantsReport(*fields) == rep
+        with pytest.raises(TypeError):
+            ConstantsReport(*fields, radius=1.0)
+        assert list(rep.as_dict()) == [
+            "s_scalar", "s_vector", "ratio_measured", "ratio_formula", "radius",
+            "threshold", "coercivity_lhs", "regime", "grid_dimension", "grid_points",
+            "grid_box_length", "scalar_iterations",
+        ]
+
+    @pytest.mark.parametrize("c", [0.9, 1.0, 1.3])
+    def test_rescaled_constants_derive_their_own_r_and_d(self, grid256, params_sub3, c):
+        import dataclasses
+
+        rep = measure_constants(grid256, params_sub3)
+        scaled = dataclasses.replace(rep, s_scalar=c * rep.s_scalar, s_vector=c * rep.s_vector)
+        s, sv = scaled.s_scalar, scaled.s_vector
+        assert scaled.radius == convexity_radius(params_sub3, s)
+        assert scaled.threshold == smallness_threshold(params_sub3, s, sv)
+        assert scaled.coercivity_lhs == coercivity_lhs(params_sub3, s, sv)
+        assert scaled.ratio_measured == sv / s
+        if c < 1:
+            assert scaled.radius < rep.radius and scaled.threshold < rep.threshold
+
+    def test_constants_failing_smallness_raise_at_construction(self, grid256, params_sub3):
+        import dataclasses
+
+        from fracsys import ConstantsReport
+
+        rep = measure_constants(grid256, params_sub3)
+        # a vector constant far below the scalar one makes A <= 0
+        with pytest.raises(ValueError, match="smallness"):
+            dataclasses.replace(rep, s_vector=0.1 * rep.s_scalar)
+        with pytest.raises(ValueError, match="smallness"):
+            ConstantsReport(1.0, 0.2, grid256, params_sub3, 0)
 
     @pytest.mark.parametrize(
         "N,points,length,s,alpha,beta,gamma",

@@ -43,9 +43,15 @@ class TestMakeForcing:
         grid, params = crit_setup
         f = make_forcing(mode_density(grid, k=2), params)
         expect_hdot = 2.0 ** (-params.s) * np.sqrt(np.pi)
-        assert f.dual_norm_hdot == pytest.approx(expect_hdot, rel=1e-12)
-        expect_hfull = np.sqrt(np.pi / (1.0 + 2.0 ** (2 * params.s)))
-        assert f.dual_norm_hfull == pytest.approx(expect_hfull, rel=1e-12)
+        assert f.norm == pytest.approx(expect_hdot, rel=1e-12)
+        # the full-norm regime keeps the mean, whose zero mode has weight 1
+        full = make_forcing(mode_density(grid, k=2), SystemParams(1, params.s, 2.0, 2.0, 1))
+        expect_hfull = np.sqrt(2.0 * np.pi + np.pi / (1.0 + 2.0 ** (2 * params.s)))
+        assert full.norm == pytest.approx(expect_hfull, rel=1e-12)
+        # the mean-projected density of the gamma=0 forcing, in the full norm
+        expect_projected = np.sqrt(np.pi / (1.0 + 2.0 ** (2 * params.s)))
+        projected = grid.operator(params.s, 1).dual_norm(f.density.values)
+        assert projected == pytest.approx(expect_projected, rel=1e-12)
 
     def test_mean_projection_reported_critical(self, crit_setup):
         grid, params = crit_setup
@@ -78,15 +84,14 @@ class TestMakeForcing:
         params = SystemParams(1, 0.25, 2.0, 2.0, 1)
         f = make_forcing(gaussian_density(grid, width=1.0), params)
         ft = scale_functional(f, t)
-        assert ft.dual_norm_hdot == pytest.approx(t * f.dual_norm_hdot, rel=1e-12)
-        assert ft.dual_norm_hfull == pytest.approx(t * f.dual_norm_hfull, rel=1e-12)
+        assert ft.norm == pytest.approx(t * f.norm, rel=1e-12)
+        assert ft.norm == pytest.approx(make_forcing(ft.density, params).norm, rel=1e-12)
 
     def test_cached_norms_match_recomputation(self, sub_setup):
         grid, params = sub_setup
         f = make_forcing(gaussian_density(grid, width=1.5), params)
         rebuilt = make_forcing(f.density, params)
-        assert f.dual_norm_hdot == pytest.approx(rebuilt.dual_norm_hdot, rel=1e-12)
-        assert f.dual_norm_hfull == pytest.approx(rebuilt.dual_norm_hfull, rel=1e-12)
+        assert f.norm == pytest.approx(rebuilt.norm, rel=1e-12)
 
 
 class TestScaleToNorm:
@@ -152,7 +157,7 @@ class TestDuality:
         for _ in range(10):
             u = smooth_field(grid, rng)
             pairing = abs(dual_pairing(f, u))
-            assert pairing <= f.dual_norm_hfull * hs_full_norm(u, params.s) * (1 + 1e-10)
+            assert pairing <= f.norm * hs_full_norm(u, params.s) * (1 + 1e-10)
 
     def test_pairing_bounded_critical(self, crit_setup):
         grid, params = crit_setup
@@ -161,14 +166,14 @@ class TestDuality:
         for _ in range(10):
             u = smooth_field(grid, rng)
             pairing = abs(dual_pairing(f, u))
-            assert pairing <= f.dual_norm_hdot * hs_seminorm(u, params.s) * (1 + 1e-10)
+            assert pairing <= f.norm * hs_seminorm(u, params.s) * (1 + 1e-10)
 
     @pytest.mark.parametrize("gamma", [0, 1])
     def test_riesz_representer_saturates_bound(self, gamma):
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 2.0, 2.0, gamma)
         f = make_forcing(gaussian_density(grid, width=2.0), params)
-        u = riesz_representer(f, params)
+        u = riesz_representer(f)
         norm_u = hs_seminorm(u, params.s) if gamma == 0 else hs_full_norm(u, params.s)
         ratio = dual_pairing(f, u) / (f.norm * norm_u)
         assert ratio >= 0.999
@@ -181,7 +186,7 @@ class TestDuality:
         for _ in range(10):
             dens = np.abs(smooth_field(grid, rng).values) + 0.01
             f = make_forcing(Field(grid, dens), params)
-            assert f.dual_norm_hdot >= f.dual_norm_hfull
+            assert f.norm >= grid.operator(params.s, 1).dual_norm(f.density.values)
 
     def test_per_mode_weight_dominance(self, crit_setup):
         grid, params = crit_setup
@@ -213,16 +218,3 @@ class TestConstructors:
         inside = grid.radius_from([0.0]) <= 3.0
         np.testing.assert_array_equal(d.values > 0, inside)
 
-
-class TestFunctionalSerialization:
-    def test_density_file_and_norms_sidecar(self, sub_setup, tmp_path):
-        from fracsys import load_field, save_functional
-
-        grid, params = sub_setup
-        f = make_forcing(gaussian_density(grid, width=1.5), params)
-        base = tmp_path / "forcing_f"
-        save_functional(f, base)
-        back = load_field(str(base) + ".csv")
-        np.testing.assert_array_equal(back.values, f.density.values)
-        sidecar = (tmp_path / "forcing_f_norms.txt").read_text()
-        assert "dual_norm_hdot" in sidecar and "dual_norm_hfull" in sidecar

@@ -209,7 +209,7 @@ class TestNeumannSanity:
 
     def test_linear_solve_solves_linear_system(self, setup):
         grid, params, _, f = setup
-        lu, lv = linear_response(f, f, params)
+        lu, lv = linear_response(f, f)
         # (regime operator) lu == f density
         from fracsys import frac_laplacian
 

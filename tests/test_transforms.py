@@ -125,6 +125,16 @@ def test_measure_constants_budget(problem, fft_calls):
     assert len(fft_calls) <= scalar_budget + 2
 
 
+def test_make_forcing_transforms_once(problem, fft_calls):
+    grid, params = problem
+    density = gaussian_density(grid, width=2.0)
+    fft_calls.clear()
+    f = make_forcing(density, params)
+    # one forward transform, for the dual norm of the forcing's own regime
+    assert fft_calls == ["rfftn"]
+    assert f.norm == grid.operator(params.s, params.gamma).dual_norm(f.density.values)
+
+
 def test_solver_iteration_budget(problem, fft_calls):
     grid, params = problem
     constants = measure_constants(grid, params)
