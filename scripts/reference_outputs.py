@@ -13,8 +13,13 @@ by `constants`):
                 ground-state, verify
   sub-1d        N=1, P=256, s=0.25, alpha=beta=1.5: constants, solve,
                 ground-state, verify
-  crit-1d       N=1, P=256, s=0.25, alpha=beta=2: constants, solve,
-                bubble, verify
+  crit-1d       N=1, P=256, s=0.25, alpha=beta=2: verify, constants,
+                solve, bubble
+
+Each config's commands run in this order in one output directory, so
+`solve` and `verify` reuse the constants.json of an earlier `constants`
+where there is one (lab-2d, sub-1d, and crit-1d's `solve`) and measure
+afresh where there is none (critical-3d's `solve`, crit-1d's `verify`).
 
 `run` writes each config with a relative output path and runs its commands
 through `fracsys.cli.main` with DIR as the working directory, so the config
@@ -67,7 +72,7 @@ CONFIGS = {
     ),
     "crit-1d": (
         {"dimension": 1, "grid_size": 256, "s": 0.25, "alpha": 2.0, "beta": 2.0},
-        ("constants", "solve", "bubble", "verify"),
+        ("verify", "constants", "solve", "bubble"),
     ),
 }
 

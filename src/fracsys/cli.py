@@ -8,12 +8,13 @@ status: 0 all good, 1 numerical failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import measure_constants, coercivity_sweep
+from .constants import ConstantsReport, coercivity_sweep, measure_constants
 from .fieldio import dump_json, fmt, save_field, write_csv
 from .forcing import build_density, make_forcing, scale_to_norm
 from .grids import SystemParams, make_grid, from_powers
@@ -190,6 +191,44 @@ def _outdir(cfg):
     return out
 
 
+# the config keys a constants measurement reads besides its options; gamma
+# is compared as the regime it resolves to
+_MEASURED_KEYS = ("dimension", "s", "alpha", "beta", "gamma", "grid_size", "box_length")
+
+
+def _stored_constants(cfg, grid, params):
+    """The report of ``<output>/constants.json`` if that file was measured
+    for cfg's problem with cfg's quotient options and rebuilds to the report
+    it stores, else None."""
+    try:
+        payload = json.loads((Path(cfg.output) / "constants.json").read_text())
+        stored, row = payload["config"], payload["report"]
+        current = cfg.as_dict()
+        if any(stored[key] != current[key] for key in _MEASURED_KEYS):
+            return None
+        measured_with = ExperimentConfig(tol=stored["tol"], max_iter=stored["max_iter"])
+        if measured_with.constants_opts() != cfg.constants_opts():
+            return None
+        report = ConstantsReport(
+            float(row["s_scalar"]), float(row["s_vector"]), grid, params,
+            int(row["scalar_iterations"]),
+        )
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+    # a 17-digit parse restores the measured floats, so the program's own
+    # file rebuilds to every stored key, and an edited r or d does not
+    return report if report.as_dict() == row else None
+
+
+def _constants(cfg, grid, params):
+    """The constants of cfg's problem: reused from the output directory's
+    constants.json when it holds this measurement, else measured."""
+    report = _stored_constants(cfg, grid, params)
+    if report is None:
+        report = measure_constants(grid, params, opts=cfg.constants_opts())
+    return report
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -284,7 +323,7 @@ def cmd_solve(cfg):
     params = cfg.params()
     grid = cfg.grid()
     out = _outdir(cfg)
-    constants = measure_constants(grid, params, opts=cfg.constants_opts())
+    constants = _constants(cfg, grid, params)
     f = make_forcing(cfg.density("f", grid), params)
     g = make_forcing(cfg.density("g", grid), params)
     if cfg.f_fraction_of_d > 0:
@@ -318,7 +357,7 @@ def cmd_solve(cfg):
 def cmd_verify(cfg):
     params = cfg.params()
     grid = cfg.grid()
-    constants = measure_constants(grid, params, opts=cfg.constants_opts())
+    constants = _constants(cfg, grid, params)
     results = run_all_checks(constants, seed=cfg.seed)
     out = _outdir(cfg)
     rows = [(r.name, "pass" if r.passed else "FAIL", r.detail) for r in results]

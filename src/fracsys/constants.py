@@ -21,6 +21,7 @@ in the mean-zero subspace for the same reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,7 +297,8 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
 class ConstantsReport:
     """Measured constants of one problem and the proof quantities they
     determine: r and d certify a solve on this grid with these params and
-    no other.  Constants failing the smallness condition raise ValueError."""
+    no other.  Constants that are not finite and positive, or that fail the
+    smallness condition, raise ValueError."""
 
     s_scalar: float
     s_vector: float
@@ -305,6 +307,10 @@ class ConstantsReport:
     scalar_iterations: int
 
     def __post_init__(self):
+        for name in ("s_scalar", "s_vector"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         smallness_threshold(self.params, self.s_scalar, self.s_vector)
 
     @property

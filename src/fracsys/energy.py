@@ -124,29 +124,29 @@ def gradient(u, v, f, g, params, variant="J"):
 
 
 def hessian_quadform(u, v, phi, psi, params):
-    """Second variation of variant J evaluated at (u, v) in direction (phi, psi).
+    """Second variation of variant J evaluated at the pair of Fields (u, v)
+    in the direction of the Iterates (phi, psi) on their grid.
 
-    Equals the squared regime norm of the direction minus three coupling
-    integrals with coefficients a(a-1)/p, b(b-1)/p and 2ab/p, whose
-    integrands are the ``coupling_terms`` pair at powers (a-1, b-1), zero off
-    both supports, times v, u and u: two powers serve all three.  Powers at
-    the degenerate set {u <= 0} follow the pow_plus conventions, which for
-    exponents in (1, 2) assumes the base field is positive where the
-    integrand matters.
+    Equals the squared regime norm of the direction, taken from its half
+    spectra without a transform, minus three coupling integrals with
+    coefficients a(a-1)/p, b(b-1)/p and 2ab/p, whose integrands are the
+    ``coupling_terms`` pair at powers (a-1, b-1), zero off both supports,
+    times v, u and u: two powers serve all three.  Powers at the degenerate
+    set {u <= 0} follow the pow_plus conventions, which for exponents in
+    (1, 2) assumes the base field is positive where the integrand matters.
     """
     _check(u, v, params)
-    _check(phi, psi, params)
-    if phi.grid != u.grid:
+    if phi.x.shape != u.grid.shape or psi.x.shape != u.grid.shape:
         raise ValueError("grid mismatch")
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
     op = u.grid.operator(params.s, params.gamma)
-    norm_sq = op.quad(phi.values) + op.quad(psi.values)
+    norm_sq = op.quad_hat(phi.xh) + op.quad_hat(psi.xh)
     vol = u.grid.cell_volume
     cu, cv = coupling_terms(u.values, v.values, a - 1.0, b - 1.0)
-    t_uu = np.sum(cu * v.values * phi.values**2)
-    t_vv = np.sum(cv * u.values * psi.values**2)
-    t_uv = np.sum(cu * u.values * phi.values * psi.values)
+    t_uu = np.sum(cu * v.values * phi.x**2)
+    t_vv = np.sum(cv * u.values * psi.x**2)
+    t_uv = np.sum(cu * u.values * phi.x * psi.x)
     coupling = vol / p * (a * (a - 1.0) * t_uu + b * (b - 1.0) * t_vv + 2.0 * a * b * t_uv)
     if not np.isfinite(coupling):
         raise FloatingPointError("nonfinite coupling integrand in second variation")

@@ -42,10 +42,12 @@ class CheckResult:
     detail: str
 
 
-def _smooth_field(grid, rng, scale=1.0):
-    z = rng.standard_normal(grid.shape)
+def _smooth_probe(grid, rng, scale=1.0):
+    """A random smooth field as an Iterate: white noise filtered by a
+    Gaussian on |xi|^2, with the half spectrum the filter produced."""
     lap = grid.operator(1, 0)  # its symbol is |xi|^2 on the half lattice
-    return Field(grid, scale * lap.backward(np.exp(-lap.symbol / SMOOTHING_DECAY) * lap.forward(z)))
+    zh = np.exp(-lap.symbol / SMOOTHING_DECAY) * lap.forward(rng.standard_normal(grid.shape))
+    return grids.Iterate(lap.backward(zh), zh).scale(scale)
 
 
 def check_multiplier_exactness(grid, params):
@@ -93,15 +95,15 @@ def check_gradient_consistency(grid, params, rng):
     positive_base = min(params.alpha, params.beta) < 2.0
     worst = 0.0
     for _ in range(GRADIENT_POINTS):
-        u = _smooth_field(grid, rng, scale=0.5)
-        v = _smooth_field(grid, rng, scale=0.5)
+        u = _smooth_probe(grid, rng, scale=0.5).x
+        v = _smooth_probe(grid, rng, scale=0.5).x
         if positive_base:
-            u = Field(grid, np.abs(u.values) + 0.1)
-            v = Field(grid, np.abs(v.values) + 0.1)
+            u, v = np.abs(u) + 0.1, np.abs(v) + 0.1
+        u, v = Field(grid, u), Field(grid, v)
         gu, gv = gradient(u, v, f, g, params)
         for _ in range(GRADIENT_DIRECTIONS // GRADIENT_POINTS):
-            phi = _smooth_field(grid, rng)
-            psi = _smooth_field(grid, rng)
+            phi = Field(grid, _smooth_probe(grid, rng).x)
+            psi = Field(grid, _smooth_probe(grid, rng).x)
             pred = grids.l2_inner(gu, phi) + grids.l2_inner(gv, psi)
             ep = energy(u + step * phi, v + step * psi, f, g, params).total
             em = energy(u - step * phi, v - step * psi, f, g, params).total
@@ -118,21 +120,21 @@ def check_hessian_positivity(constants, rng):
     bound (1 - (rho/r)^(p-2)) times the direction's squared norm."""
     grid, params, r = constants.grid, constants.params, constants.radius
     p = params.coupling_exponent
+    op = grid.operator(params.s, params.gamma)
     min_q = np.inf
     bound_ok = True
     for _ in range(HESSIAN_SAMPLES):
-        u = _smooth_field(grid, rng)
-        v = _smooth_field(grid, rng)
         # strictly positive base pair, scaled to a random interior radius
-        u = Field(grid, np.abs(u.values) + 0.1)
-        v = Field(grid, np.abs(v.values) + 0.1)
+        u = Field(grid, np.abs(_smooth_probe(grid, rng).x) + 0.1)
+        v = Field(grid, np.abs(_smooth_probe(grid, rng).x) + 0.1)
         nrm = pair_norm(u, v, params)
         target = (0.05 + 0.9 * rng.random()) * 0.95 * r
         u, v = (target / nrm) * u, (target / nrm) * v
-        phi = _smooth_field(grid, rng)
-        psi = _smooth_field(grid, rng)
+        # the directions keep their half spectra, so their norm needs no transform
+        phi = _smooth_probe(grid, rng)
+        psi = _smooth_probe(grid, rng)
         q = hessian_quadform(u, v, phi, psi, params)
-        lower = (1.0 - (target / r) ** (p - 2.0)) * pair_norm(phi, psi, params) ** 2
+        lower = (1.0 - (target / r) ** (p - 2.0)) * op.norm_hat(phi.xh, psi.xh) ** 2
         min_q = min(min_q, q)
         if q < lower - 1e-9 * abs(lower):
             bound_ok = False
@@ -146,8 +148,7 @@ def check_hessian_positivity(constants, rng):
 def check_ratio_identity(grid, params, rng):
     """Coupled quotient of the paired extremizer equals the closed-form
     ratio times the scalar quotient, for any profile (exact identity)."""
-    w = _smooth_field(grid, rng, scale=1.0)
-    w = Field(grid, np.abs(w.values) + 0.05)
+    w = Field(grid, np.abs(_smooth_probe(grid, rng).x) + 0.05)
     bu, cv_ = paired_minimizer(w, params.alpha, params.beta)
     lhs = vector_quotient(bu, cv_, params)
     rhs = ratio_formula(params.alpha, params.beta) * sobolev_quotient(w, params)

@@ -124,6 +124,7 @@ def test_criterion_03_convexity_certificate():
     p = params.coupling_exponent
     bracket = a * (a - 1) + b * (b - 1) + a * b
     rng = np.random.default_rng(2)
+    op = grid.operator(params.s, params.gamma)
     min_q = np.inf
     bound_violations = 0
     for _ in range(200):
@@ -133,7 +134,7 @@ def test_criterion_03_convexity_certificate():
         sc = target / pair_norm(u, v, params)
         u, v = sc * u, sc * v
         phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
-        q = hessian_quadform(u, v, phi, psi, params)
+        q = hessian_quadform(u, v, op.lift(phi.values), op.lift(psi.values), params)
         lower = (
             1.0 - s_scalar ** (-p / 2) / p * target ** (p - 2) * bracket
         ) * pair_norm(phi, psi, params) ** 2

@@ -465,6 +465,132 @@ class TestVerifyConstants:
         assert radii == [payload["report"]["radius"]]
 
 
+def _edit_report(key, value):
+    """An edit of constants.json text that maps one report value."""
+
+    def edit(text):
+        payload = json.loads(text)
+        payload["report"][key] = value(payload["report"][key])
+        return json.dumps(payload)
+
+    return edit
+
+
+class TestConstantsReuse:
+    """solve and verify rebuild their constants from the output directory's
+    constants.json when it was measured for the same problem, and measure
+    them afresh in every other case."""
+
+    BASE = {"alpha": 1.5, "beta": 1.5, "grid_size": 64, "box_length": 40.0, "seed": 3}
+
+    @staticmethod
+    def _write_cfg(path, keys):
+        path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        return str(path)
+
+    @staticmethod
+    def _count_measurements(monkeypatch):
+        import fracsys.cli as cli
+
+        calls = []
+        original = cli.measure_constants
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "measure_constants", counted)
+        return calls
+
+    def test_solve_and_verify_reuse_constants(self, tmp_path, monkeypatch):
+        import fracsys.cli as cli
+
+        # one relative output path in two directories, so the reports match byte for byte
+        for side in ("fresh", "lab"):
+            (tmp_path / side).mkdir()
+        cfg = self._write_cfg(tmp_path / "run.cfg", {**self.BASE, "output": "out"})
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert run_cli(["solve", "--config", cfg]) == EXIT_OK
+        assert run_cli(["verify", "--config", cfg]) == EXIT_OK
+        monkeypatch.chdir(tmp_path / "lab")
+        assert run_cli(["constants", "--config", cfg]) == EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("constants measured again")
+
+        monkeypatch.setattr(cli, "measure_constants", refuse)
+        assert run_cli(["solve", "--config", cfg]) == EXIT_OK
+        assert run_cli(["verify", "--config", cfg]) == EXIT_OK
+        for name in ("solve_report.json", "verify.csv", "u_bar.csv", "trace.csv"):
+            fresh = (tmp_path / "fresh" / "out" / name).read_bytes()
+            assert (tmp_path / "lab" / "out" / name).read_bytes() == fresh, name
+
+    @pytest.mark.parametrize(
+        "base,change",
+        [
+            ({}, {"alpha": 1.6}),
+            ({}, {"s": 0.3}),
+            ({}, {"grid_size": 32}),
+            ({}, {"box_length": 30.0}),
+            ({}, {"max_iter": 5000}),
+            # powers at the critical exponent, the regime set explicitly
+            ({"alpha": 2.0, "beta": 2.0}, {"gamma": 1}),
+            # quotient tolerances min(tol, 1e-8) of 1e-8 and 1e-9
+            ({}, {"tol": 1e-9}),
+        ],
+        ids=["alpha", "s", "grid_size", "box_length", "max_iter", "gamma", "tol"],
+    )
+    def test_mismatched_file_is_measured_again(self, tmp_path, monkeypatch, base, change):
+        out = str(tmp_path / "out")
+        first = self._write_cfg(tmp_path / "a.cfg", {**self.BASE, **base, "output": out})
+        second = self._write_cfg(
+            tmp_path / "b.cfg", {**self.BASE, **base, **change, "output": out}
+        )
+        assert run_cli(["constants", "--config", first]) == EXIT_OK
+        calls = self._count_measurements(monkeypatch)
+        assert run_cli(["solve", "--config", second]) == EXIT_OK
+        assert len(calls) == 1
+        used = json.loads((tmp_path / "out" / "solve_report.json").read_text())
+        assert used["config"] == {**used["config"], **change}
+
+    def test_tolerances_capped_alike_reuse(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "out")
+        # tol 1e-6 and 1e-7 both measure at quotient tolerance 1e-8
+        first = self._write_cfg(tmp_path / "a.cfg", {**self.BASE, "tol": 1e-6, "output": out})
+        second = self._write_cfg(tmp_path / "b.cfg", {**self.BASE, "tol": 1e-7, "output": out})
+        assert run_cli(["constants", "--config", first]) == EXIT_OK
+        calls = self._count_measurements(monkeypatch)
+        assert run_cli(["solve", "--config", second]) == EXIT_OK
+        assert run_cli(["verify", "--config", second]) == EXIT_OK
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: text.replace('"max_iter"', '"max_iterations"'),
+            _edit_report("s_vector", lambda _: None),
+            _edit_report("s_vector", lambda _: -1),
+            # the last bit of r: the rebuilt report derives the measured one
+            _edit_report("radius", lambda r: float(np.nextafter(r, np.inf))),
+        ],
+        ids=["invalid-json", "missing-key", "null-vector", "negative-vector", "edited-radius"],
+    )
+    def test_unusable_file_is_measured_again(self, tmp_path, monkeypatch, edit):
+        out = tmp_path / "out"
+        cfg = self._write_cfg(tmp_path / "run.cfg", {**self.BASE, "output": str(out)})
+        assert run_cli(["constants", "--config", cfg]) == EXIT_OK
+        path = out / "constants.json"
+        measured = json.loads(path.read_text())["report"]
+        path.write_text(edit(path.read_text()))
+        calls = self._count_measurements(monkeypatch)
+        assert run_cli(["solve", "--config", cfg]) == EXIT_OK
+        assert run_cli(["verify", "--config", cfg]) == EXIT_OK
+        assert len(calls) == 2
+        used = json.loads((out / "solve_report.json").read_text())["constants"]
+        assert used == measured
+
+
 class TestConstantsExamples:
     def test_gamma_override_and_ratio_window(self, tmp_path):
         # powers (2,2) sum to the critical exponent at N=1, s=0.25; the

@@ -295,6 +295,26 @@ class TestMeasureConstants:
             ConstantsReport(1.0, 0.2, grid256, params_sub3, 0)
 
     @pytest.mark.parametrize(
+        "s_scalar,s_vector,name",
+        [
+            (1.0, -1.0, "s_vector"),
+            (1.0, 0.0, "s_vector"),
+            (1.0, float("nan"), "s_vector"),
+            (1.0, float("inf"), "s_vector"),
+            (float("nan"), 2.0, "s_scalar"),
+        ],
+        ids=["negative", "zero", "nan", "inf", "nan-scalar"],
+    )
+    def test_constants_not_finite_and_positive_raise(self, grid256, params_sub3, s_scalar, s_vector, name):
+        from fracsys import ConstantsReport
+
+        # checked before the smallness condition, whose powers and quotients
+        # would raise TypeError or ZeroDivisionError, or derive a nan or a
+        # degenerate threshold
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            ConstantsReport(s_scalar, s_vector, grid256, params_sub3, 0)
+
+    @pytest.mark.parametrize(
         "N,points,length,s,alpha,beta,gamma",
         [
             (1, 256, 40.0, 0.25, 1.8, 1.2, 1),

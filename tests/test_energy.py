@@ -20,6 +20,11 @@ from conftest import low_mode_field, smooth_field
 from oracles import central_diff, second_central_diff, upsample_1d
 
 
+def lifted(*fields):
+    """Direction fields as the Iterates hessian_quadform takes."""
+    return [f.grid.operator(1, 0).lift(f.values) for f in fields]
+
+
 @pytest.fixture(scope="module")
 def setup():
     grid = make_grid(1, 64, 40.0)
@@ -139,7 +144,7 @@ class TestHessianQuadform:
         rng = np.random.default_rng(9)
         zero = Field(grid, np.zeros(grid.shape))
         phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
-        q = hessian_quadform(zero, zero, phi, psi, params)
+        q = hessian_quadform(zero, zero, *lifted(phi, psi), params)
         assert q == pytest.approx(pair_norm(phi, psi, params) ** 2, rel=1e-12)
 
     def test_sign_flip_invariance(self, setup):
@@ -148,8 +153,8 @@ class TestHessianQuadform:
         u = Field(grid, np.abs(smooth_field(grid, rng).values) + 0.2)
         v = Field(grid, np.abs(smooth_field(grid, rng).values) + 0.2)
         phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
-        assert hessian_quadform(u, v, phi, psi, params) == pytest.approx(
-            hessian_quadform(u, v, -1.0 * phi, -1.0 * psi, params), rel=1e-12
+        assert hessian_quadform(u, v, *lifted(phi, psi), params) == pytest.approx(
+            hessian_quadform(u, v, *lifted(-1.0 * phi, -1.0 * psi), params), rel=1e-12
         )
 
     def test_matches_second_central_difference(self, setup):
@@ -161,7 +166,7 @@ class TestHessianQuadform:
             u = Field(grid, np.abs(smooth_field(grid, rng, 0.3).values) + 0.3)
             v = Field(grid, np.abs(smooth_field(grid, rng, 0.3).values) + 0.3)
             phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
-            q = hessian_quadform(u, v, phi, psi, params)
+            q = hessian_quadform(u, v, *lifted(phi, psi), params)
             fd = second_central_diff(
                 lambda t: energy(u + t * phi, v + t * psi, f, g, params).total
             )
@@ -253,7 +258,7 @@ class TestFractionalPowers:
             u = Field(grid, np.abs(smooth_field(grid, rng, 0.2).values) + 0.5)
             v = Field(grid, np.abs(smooth_field(grid, rng, 0.2).values) + 0.5)
             phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
-            q = hessian_quadform(u, v, phi, psi, params)
+            q = hessian_quadform(u, v, *lifted(phi, psi), params)
             fd = second_central_diff(
                 lambda t: energy(u + t * phi, v + t * psi, None, None, params).total
             )

@@ -188,3 +188,40 @@ def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch)
     # the start and then trial points only, each at most once
     assert len({id(x) for x in kernel_calls}) == len(kernel_calls)
     assert all(any(x is t for t in trial_points) for x in kernel_calls[1:])
+
+
+def test_hessian_check_budget(problem, fft_calls):
+    from fracsys.verify import HESSIAN_SAMPLES, check_hessian_positivity
+
+    grid, params = problem
+    constants = measure_constants(grid, params)
+    fft_calls.clear()
+    result = check_hessian_positivity(constants, np.random.default_rng(0))
+    _real_only(fft_calls)
+    assert result.passed, result.detail
+    # per sample: four probes go forward and back, and the two base fields
+    # forward for their norm; the directions' norms come from their spectra
+    assert len(fft_calls) <= 10 * HESSIAN_SAMPLES
+
+
+def test_solve_with_matching_constants_runs_no_descent(problem, fft_calls, tmp_path, monkeypatch):
+    from fracsys.cli import main
+
+    grid, params = problem
+    args = [
+        "--dimension", "2", "--grid-size", str(grid.points_per_axis),
+        "--box-length", str(grid.box_length), "--s", str(params.s),
+        "--alpha", str(params.alpha), "--beta", str(params.beta),
+    ]
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", *args, "--output", "fresh"]) == 0
+    fresh = len(fft_calls)
+    fft_calls.clear()
+    measure_constants(grid, params, opts=MinimizeOpts(tol=1e-8, max_iter=10000))
+    descent = len(fft_calls)
+    assert main(["constants", *args, "--output", "lab"]) == 0
+    fft_calls.clear()
+    assert main(["solve", *args, "--output", "lab"]) == 0
+    _real_only(fft_calls)
+    # the solve makes every transform of the fresh one but the measurement's
+    assert descent > 0 and len(fft_calls) == fresh - descent
