@@ -29,8 +29,12 @@ stdout and stderr go to `<config>/<command>.log`, ending with its exit code.
 `compare` lists every file of either tree: `identical`, or the largest
 relative change of a float token and each changed integer token (iteration
 counts, exit codes).  A `.json` file first lists the keys found in only
-one tree, then compares the values of the shared keys.  It exits 0 when
-every file is identical, else 1.
+one tree, then compares the values of the shared keys.  A field file
+(`u_bar.csv` and the like) is decoded and its values compared bit for bit:
+`values identical` when every value parses to the same double, whatever
+its text, else the count of moved values and their largest relative
+change.  It exits 0 when every file is identical or values identical,
+else 1.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ import os
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 COMMON = {
     "box_length": 40.0,
@@ -77,6 +83,7 @@ CONFIGS = {
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+FIELD_HEADER = "dimension,points_per_axis,box_length"
 
 
 def run(root):
@@ -116,10 +123,40 @@ def _leaves(obj, prefix=""):
     return out
 
 
+def _field(path):
+    """The size line and the values of a field file, or None for any other
+    file."""
+    head, _, rest = path.read_text().partition("\n")
+    if head != FIELD_HEADER:
+        return None
+    sizes, _, body = rest.partition("\n")
+    try:
+        return sizes, np.array(body.split(), dtype=float)
+    except ValueError:
+        return None
+
+
+def compare_fields(a, b):
+    """One line saying how the values of field b differ from field a's."""
+    (sizes_a, va), (sizes_b, vb) = a, b
+    if sizes_a != sizes_b or va.shape != vb.shape:
+        return "field sizes differ"
+    moved = va.view(np.uint64) != vb.view(np.uint64)
+    if not moved.any():
+        return "values identical"
+    x, y = va[moved], vb[moved]
+    scale = np.maximum(np.abs(x), np.abs(y))
+    relative = np.divide(np.abs(x - y), scale, out=np.zeros_like(scale), where=scale > 0)
+    return f"{moved.sum()} values moved, max relative change {np.nanmax(relative):.2g}"
+
+
 def compare_file(a, b):
     """One line saying how file b differs from file a."""
     if a.read_bytes() == b.read_bytes():
         return "identical"
+    fields = _field(a), _field(b)
+    if None not in fields:
+        return compare_fields(*fields)
     parts = []
     if a.suffix == ".json":
         la, lb = _leaves(json.loads(a.read_text())), _leaves(json.loads(b.read_text()))
@@ -164,7 +201,7 @@ def compare(a, b):
             line = f"only in {a if (a / name).is_file() else b}"
         else:
             line = compare_file(a / name, b / name)
-        same = same and line == "identical"
+        same = same and line in ("identical", "values identical")
         print(f"{name}: {line}")
     return 0 if same else 1
 

@@ -8,6 +8,7 @@ status: 0 all good, 1 numerical failure, 2 bad configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -392,6 +393,13 @@ def make_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process: parse_args keeps no state between
+    calls, and building it costs more than a small command's parse."""
+    return make_parser()
+
+
 _COMMANDS = {
     "constants": cmd_constants,
     "bubble": cmd_bubble,
@@ -403,7 +411,7 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        args = make_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError) as exc:

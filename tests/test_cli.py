@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fracsys import Field, load_field, make_grid, save_field
+from fracsys import cli
 from fracsys.fieldio import dump_json, fmt
 from fracsys.cli import (
     _FLAG_KEYS,
@@ -87,16 +88,50 @@ class TestFieldIO:
         assert len(lines) == 2 + grid.num_points
 
     def test_writer_bytes_match_fmt(self, tmp_path):
-        # the writer formats values in chunks; over several chunks it must
-        # give fmt's text
-        grid = make_grid(2, 64, 8.0)
+        # the writer encodes values in chunks; over several chunks each line
+        # must be '%+.16e' with a three-digit exponent, byte for byte
+        grid = make_grid(2, 128, 8.0)
         vals = np.random.default_rng(2).standard_normal(grid.shape)
         vals[0, :4] = [-0.0, 5e-324, 1e300, -1.0 / 3.0]
         path = tmp_path / "f.csv"
         save_field(Field(grid, vals), path)
         lines = path.read_text().splitlines()[2:]
-        assert lines[:3] == ["-0", "4.9406564584124654e-324", "1.0000000000000001e+300"]
-        assert lines == [fmt(v) for v in vals.ravel()]
+        assert lines[:4] == [
+            "-0.0000000000000000e+000",
+            "+4.9406564584124654e-324",
+            "+1.0000000000000001e+300",
+            "-3.3333333333333331e-001",
+        ]
+        expected = "dimension,points_per_axis,box_length\n2,128,8\n"
+        for v in vals.ravel():
+            mantissa, exponent = ("%+.16e" % v).split("e")
+            expected += f"{mantissa}e{exponent[0]}{int(exponent[1:]):03d}\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_reads_17g_layout_bit_exact(self, tmp_path):
+        # files written before the fixed-width layout hold one %.17g value a line
+        grid = make_grid(1, 64, 10.0)
+        vals = np.random.default_rng(4).standard_normal(grid.shape) * 10.0 ** np.arange(-32, 32)
+        vals[:4] = [-0.0, 5e-324, 1e300, -1.0 / 3.0]
+        path = tmp_path / "old.csv"
+        body = "".join(f"{fmt(v)}\n" for v in vals)
+        path.write_text("dimension,points_per_axis,box_length\n1,64,10\n" + body)
+        assert load_field(path).values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("+1.0000000000000000e+000\n" * 15 + "+1.00000000000x0000e+000\n", "bad value"),
+            ("+1.0000000000000000e+000\n" * 15, "expected 16 values, got 15"),
+            ("+1.0000000000000000e+000\n" * 17, "expected 16 values, got 17"),
+        ],
+        ids=["bad-digit", "one-line-short", "one-line-long"],
+    )
+    def test_fixed_width_body_errors(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("dimension,points_per_axis,box_length\n1,16,10\n" + body)
+        with pytest.raises(ValueError, match=message):
+            load_field(path)
 
     def test_dump_json_writes_nonfinite_as_null(self, tmp_path):
         def reject(token):
@@ -216,6 +251,31 @@ class TestConfigParsing:
             main(["--help"])
         assert info.value.code == 0
         assert "usage: fracsys" in capsys.readouterr().out
+
+    def test_one_parser_per_process(self, capsys):
+        # main parses with one cached parser: --help prints what a fresh
+        # parser prints, every time, and a usage error still exits 2 after it
+        assert cli._parser() is cli._parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["--help"])
+            assert info.value.code == 0
+            assert capsys.readouterr().out == make_parser().format_help()
+            assert main(["constants", "--bogus", "1"]) == EXIT_CONFIG
+            assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+
+    def test_successive_calls_are_independent(self, tmp_path, monkeypatch):
+        # a flag of one call does not carry into the next call's config
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "constants", lambda cfg: seen.append(cfg) or EXIT_OK)
+        out = ["--output", str(tmp_path / "o")]
+        assert main(["constants", "--alpha", "1.25", "--seed", "5", *out]) == EXIT_OK
+        assert main(["constants", *out]) == EXIT_OK
+        assert main(["constants", "--grid-size", "abc", *out]) == EXIT_CONFIG
+        assert main(["constants", "--beta", "1.5", *out]) == EXIT_OK
+        assert [(c.alpha, c.beta, c.seed, c.grid_size) for c in seen] == [
+            (1.25, 2.0, 5, 64), (2.0, 2.0, 0, 64), (2.0, 1.5, 0, 64),
+        ]
 
     @pytest.mark.parametrize(
         "flags,cfg_text,message",

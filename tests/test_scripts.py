@@ -78,3 +78,32 @@ def test_reference_outputs_compare(tmp_path, capsys):
         "cfg/words.txt: text differs",
     ]
     assert reference_outputs.main(["compare", str(a), str(a)]) == 0
+
+
+def test_reference_outputs_compare_fields(tmp_path, capsys):
+    # field files are compared by value: the %.17g and fixed-width layouts
+    # of the same doubles match, and a moved value does not
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import reference_outputs
+    finally:
+        sys.path.remove(str(REPO / "scripts"))
+    head = "dimension,points_per_axis,box_length\n1,16,10\n"
+    values = [-0.0, 5e-324, 1e300, -1.0 / 3.0] + [0.1 * k for k in range(12)]
+    old = head + "".join(f"{v:.17g}\n" for v in values)
+    new = head + "".join(
+        f"{m}e{x[0]}{int(x[1:]):03d}\n" for m, x in (f"{v:+.16e}".split("e") for v in values)
+    )
+    moved = new.replace("-3.3333333333333331e-001", "-3.3333333333333337e-001").replace(
+        "-0.0000000000000000e+000", "+0.0000000000000000e+000"
+    )
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    for root, text in ((a, old), (b, new), (c, moved)):
+        root.mkdir()
+        (root / "u_bar.csv").write_text(text)
+    assert reference_outputs.main(["compare", str(a), str(b)]) == 0
+    assert reference_outputs.main(["compare", str(a), str(c)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "u_bar.csv: values identical",
+        "u_bar.csv: 2 values moved, max relative change 1.7e-16",
+    ]
