@@ -48,6 +48,9 @@ _VELTKAMP = 134217729.0  # 2**27 + 1, splits a double into two 26-bit halves
 # a decoded row whose error bound of |y| * 2**-70 could cross a rounding
 # midpoint goes to float(); the double-double error is below |y| * 2**-85
 _MIDPOINT_BAND = 2.0**-70
+# the place value of each digit in columns 1 to 18 and 21 to 23 of a line
+_DIGIT_WEIGHTS = np.array([10**16, 0, *(10**k for k in range(15, -1, -1))], np.int64)
+_EXPONENT_WEIGHTS = np.array([100, 10, 1], np.int64)
 
 
 def fmt(x):
@@ -153,15 +156,6 @@ def encode_values(values):
     return block
 
 
-def _eight_digits(words):
-    """The values of little-endian uint64 words of eight ASCII digits each
-    (Lemire's SWAR parse)."""
-    w = words - np.uint64(0x3030303030303030)
-    w = (w * np.uint64(10 * 256 + 1)) >> np.uint64(8)
-    w = ((w & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 * 65536 + 1)) >> np.uint64(16)
-    return ((w & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 * 2**32 + 1)) >> np.uint64(32)
-
-
 def decode_values(block):
     """The values of an (m, 25) uint8 block of field lines, each exactly
     float() of its line, or None if a fixed column does not check out."""
@@ -172,10 +166,11 @@ def decode_values(block):
         and (block[:, 20] != ord(",")).all()
     ):
         return None
-    words = _eight_digits(np.ascontiguousarray(block[:, 3:19]).view("<u8"))
-    D = (words[:, 0] * np.uint64(10**8) + words[:, 1]).astype(np.int64)
-    D += offset[:, 1] * np.int64(10**16)
-    E = offset[:, 21] * np.int64(100) + offset[:, 22] * np.int64(10) + offset[:, 23]
+    # widened to int64 before any arithmetic, since numpy 1.x promotes a
+    # uint8 array times a scalar by the scalar's value; the fixed columns'
+    # offsets are 0, so their weights do not matter
+    D = offset[:, 1:19].astype(np.int64) @ _DIGIT_WEIGHTS
+    E = offset[:, 21:24].astype(np.int64) @ _EXPONENT_WEIGHTS
     E[block[:, 20] == ord("-")] *= -1
     fast = (D >= 10**16) & (np.abs(E) <= _FAST_EXPONENT)
     Dh = D.astype(float)
