@@ -8,21 +8,19 @@ from .constants import (
     convexity_radius,
     measure_constants,
     minimize_quotient,
+    paired_minimizer,
     ratio_formula,
     smallness_threshold,
     sobolev_quotient,
     vector_quotient,
-    verify_strictness,
 )
 from .energy import EnergyBreakdown, energy, gradient, hessian_quadform, small_t_sign_scan
 from .fieldio import load_field, save_field
 from .forcing import (
     Functional,
     build_density,
-    dual_pairing,
     gaussian_density,
     indicator_density,
-    kernel_match_check,
     make_forcing,
     mode_density,
     riesz_representer,
@@ -37,8 +35,6 @@ from .grids import (
     coupling_integral,
     frac_laplacian,
     from_powers,
-    hs_full_norm,
-    hs_seminorm,
     l2_inner,
     lp_norm,
     make_grid,
@@ -50,7 +46,6 @@ from .profiles import (
     BubbleParams,
     decay_exponent_fit,
     ground_state_residual,
-    paired_minimizer,
     subcritical_ground_state,
     talenti_bubble,
 )

@@ -295,7 +295,7 @@ def cmd_bubble(cfg):
 
 def cmd_ground_state(cfg):
     params = cfg.params()
-    if params.gamma != 1:
+    if params.gamma != 1 or params.coupling_exponent >= params.crit_exp - 1e-12:
         raise ConfigError("ground-state requires the subcritical regime (alpha+beta < 2N/(N-2s))")
     grid = cfg.grid()
     out = _outdir(cfg)
@@ -381,7 +381,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def make_parser():
+    """The one parser of the process: parse_args keeps no state between
+    calls, and building it costs more than a small command's parse."""
     parser = _Parser(
         prog="fracsys",
         description="Coupled fractional-system lab: constants, profiles, solves, checks.",
@@ -391,13 +394,6 @@ def make_parser():
     for key in _FLAG_KEYS:
         parser.add_argument(_flag(key), help=f"config key {key}")
     return parser
-
-
-@functools.cache
-def _parser():
-    """The one parser of the process: parse_args keeps no state between
-    calls, and building it costs more than a small command's parse."""
-    return make_parser()
 
 
 _COMMANDS = {
@@ -411,7 +407,7 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = make_parser().parse_args(argv)
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
     except (ConfigError, FileNotFoundError) as exc:

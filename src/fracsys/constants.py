@@ -8,8 +8,8 @@ monotone by construction.  A report measures only the scalar constant: the
 coupled one is the coupled quotient of the paired scalar minimizer, which
 attains ratio_formula * S_scalar exactly, and a cold vector descent is the
 independent check of that identity.  The closed-form relations (the
-vector/scalar ratio, its strict excess over 1, the coercivity margin, the
-convexity radius and the data-smallness threshold) are evaluated exactly.
+vector/scalar ratio, the coercivity margin, the convexity radius and the
+data-smallness threshold) are evaluated exactly.
 
 The quotients use the regime norm in the numerator in both regimes: the
 homogeneous seminorm at gamma=0 and the full norm at gamma=1.  On the
@@ -22,7 +22,7 @@ in the mean-zero subspace for the same reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "vector_quotient",
     "minimize_quotient",
     "ratio_formula",
-    "verify_strictness",
     "coercivity_lhs",
     "convexity_radius",
     "smallness_threshold",
@@ -90,12 +89,6 @@ def ratio_formula(alpha, beta):
     q = alpha / beta
     p = alpha + beta
     return float(q ** (beta / p) + q ** (-alpha / p))
-
-
-def verify_strictness(alpha, beta):
-    """Excess of the vector/scalar ratio over 1; positive for all
-    admissible powers (the coupled constant strictly dominates)."""
-    return ratio_formula(alpha, beta) - 1.0
 
 
 def _k_margin(params):
@@ -182,8 +175,6 @@ class QuotientResult:
     fields: tuple
     value: float
     iterations: int
-    converged: bool
-    trace: tuple = field(repr=False, default=())
 
 
 def _default_seed_field(grid):
@@ -255,8 +246,6 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
             raise ValueError(f"quotient value {q} is not positive")
         return q, None
 
-    trace = []
-
     def gradient(point, q, _):
         xs, terms, k = point
         ds = []
@@ -268,7 +257,6 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
             ds.append(Iterate(op.backward(dh), dh))
         # the L2 gradient is 2 Op d, so the value falls at the rate 2 |d|^2
         slope = 2.0 * sum(op.quad_hat(d.xh) for d in ds)
-        trace.append(q)
         return (ds, slope), measure(q, ds, slope)
 
     def retract(point, ds, tau):
@@ -284,9 +272,7 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
             f"{opts.tol:.3e} after {res.iterations} iterations"
         )
     fields = tuple(Field(grid, x.x) for x in res.point[0])
-    # the values of the accepted points; a rejected full step evaluated one more
-    trace = tuple(trace[: res.iterations + 1])
-    return QuotientResult(fields, float(res.value), res.iterations, True, trace)
+    return QuotientResult(fields, float(res.value), res.iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The system energy, its gradient pair and its second variation.
 
-Two variants share the quadratic and forcing terms and differ in the
-coupling: variant "I" integrates |u|^alpha |v|^beta, variant "J" the
-positive parts u_+^alpha v_+^beta.  The auxiliary variant J is the one the
-solver descends: its minimizers are automatically nonnegative, and on
-nonnegative pairs the two variants coincide.
+The energy is half the squared regime norm of the pair, less the coupling
+of the positive parts u_+^alpha v_+^beta over the coupling exponent, less
+the forcing pairings.  This is the functional the solver descends: its
+minimizers are automatically nonnegative, and on nonnegative pairs it
+agrees with the energy of the signed coupling |u|^alpha |v|^beta.
 
 The gradient is returned as a pair of L2 densities (the strong-form
 residual), so its L2 pairing with any direction equals the directional
@@ -42,14 +42,6 @@ class EnergyBreakdown:
     def total(self):
         return self.quadratic - self.coupling - self.forcing
 
-    def as_dict(self):
-        return {
-            "quadratic": self.quadratic,
-            "coupling": self.coupling,
-            "forcing": self.forcing,
-            "total": self.total,
-        }
-
 
 def _check(u, v, params):
     if u.grid != v.grid:
@@ -58,13 +50,11 @@ def _check(u, v, params):
         raise ValueError("params dimension does not match the grid")
 
 
-def _lifted(u, v, params, variant):
-    """Iterates of u, v and their coupling terms (J: positive parts, I: signed)."""
+def _lifted(u, v, params):
+    """Iterates of u, v and their positive-part coupling terms."""
     _check(u, v, params)
-    if variant not in ("I", "J"):
-        raise ValueError("variant must be 'I' or 'J'")
     op = u.grid.operator(params.s, params.gamma)
-    terms = coupling_terms(u.values, v.values, params.alpha, params.beta, variant == "J")
+    terms = coupling_terms(u.values, v.values, params.alpha, params.beta)
     return op, op.lift(u.values), op.lift(v.values), terms
 
 
@@ -105,26 +95,26 @@ def gradient_hat(grid, params, u, v, terms, fh=None, gh=None):
     return gu, gv
 
 
-def energy(u, v, f, g, params, variant="J"):
+def energy(u, v, f, g, params):
     """Evaluate the energy of a pair under forcing (f, g).
 
     f and g may be None for the unforced functional.
     """
-    _, x, y, terms = _lifted(u, v, params, variant)
+    _, x, y, terms = _lifted(u, v, params)
     fd, gd = (None if h is None else h.density.values for h in (f, g))
     return energy_terms(u.grid, params, x, y, terms, fd, gd)
 
 
-def gradient(u, v, f, g, params, variant="J"):
+def gradient(u, v, f, g, params):
     """First variation as a pair of densities (see ``gradient_hat``)."""
-    op, x, y, terms = _lifted(u, v, params, variant)
+    op, x, y, terms = _lifted(u, v, params)
     fh, gh = (None if h is None else op.forward(h.density.values) for h in (f, g))
     gu, gv = gradient_hat(u.grid, params, x, y, terms, fh, gh)
     return Field(u.grid, op.backward(gu)), Field(v.grid, op.backward(gv))
 
 
 def hessian_quadform(u, v, phi, psi, params):
-    """Second variation of variant J evaluated at the pair of Fields (u, v)
+    """Second variation of the energy evaluated at the pair of Fields (u, v)
     in the direction of the Iterates (phi, psi) on their grid.
 
     Equals the squared regime norm of the direction, taken from its half
@@ -185,9 +175,7 @@ def small_t_sign_scan(u, v, f, g, params, t_values):
     if np.any(u.values < 0) or np.any(v.values < 0):
         raise ValueError("sign scan expects a nonnegative pair")
     ts = sorted(float(t) for t in t_values)
-    energies = tuple(
-        energy(t * u, t * v, f, g, params, variant="J").total for t in ts
-    )
+    energies = tuple(energy(t * u, t * v, f, g, params).total for t in ts)
     degenerate = f is None and g is None
     pos = [t for t in ts if t > 0]
     neg = [t for t in ts if t < 0]

@@ -18,17 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, l2_inner
-
-SUPPORT_EPS_REL = 1e-12
+from .grids import Field
 
 __all__ = [
     "Functional",
     "make_forcing",
     "scale_to_norm",
     "scale_functional",
-    "kernel_match_check",
-    "dual_pairing",
     "riesz_representer",
     "gaussian_density",
     "indicator_density",
@@ -40,12 +36,11 @@ __all__ = [
 @dataclass(frozen=True)
 class Functional:
     """A forcing for the order s and regime gamma it was made for: its density
-    (the nonnegative input, less its mean at gamma=0, so signed there), the
-    density's dual norm in that regime, and the support of the input."""
+    (the nonnegative input, less its mean at gamma=0, so signed there) and
+    the density's dual norm in that regime."""
 
     density: Field
     norm: float
-    support_mask: np.ndarray
     mean_removed: float
     s: float
     gamma: int
@@ -71,10 +66,7 @@ def make_forcing(density, params):
         mean_removed = float(vals.mean())
         density = Field(density.grid, vals - mean_removed)
     norm = density.grid.operator(params.s, params.gamma).dual_norm(density.values)
-    ref = vals.max()
-    mask = vals > SUPPORT_EPS_REL * ref
-    mask.flags.writeable = False
-    return Functional(density, norm, mask, mean_removed, params.s, params.gamma)
+    return Functional(density, norm, mean_removed, params.s, params.gamma)
 
 
 def scale_functional(f, factor):
@@ -84,7 +76,6 @@ def scale_functional(f, factor):
     return Functional(
         Field(f.grid, f.density.values * factor),
         f.norm * factor,
-        f.support_mask,
         f.mean_removed * factor,
         f.s,
         f.gamma,
@@ -99,29 +90,6 @@ def scale_to_norm(f, target):
     if current == 0:
         raise ValueError("cannot rescale a functional with zero norm")
     return scale_functional(f, target / current)
-
-
-def kernel_match_check(f, g):
-    """Compare the supports of two densities.
-
-    Returns (match, metrics) where match means the symmetric difference of
-    the support masks covers at most 1e-6 of the box.
-    """
-    mf, mg = f.support_mask, g.support_mask
-    n = mf.size
-    sym_diff = float(np.sum(mf ^ mg)) / n
-    metrics = {
-        "support_fraction_f": float(np.sum(mf)) / n,
-        "support_fraction_g": float(np.sum(mg)) / n,
-        "overlap_fraction": float(np.sum(mf & mg)) / n,
-        "symmetric_difference_fraction": sym_diff,
-    }
-    return sym_diff <= 1e-6, metrics
-
-
-def dual_pairing(f, u):
-    """Action of the forcing on a field: integral of density * u."""
-    return l2_inner(f.density, u)
 
 
 def riesz_representer(f):

@@ -20,9 +20,8 @@ __all__ = [
     "Field",
     "SystemParams",
     "make_grid",
+    "from_powers",
     "frac_laplacian",
-    "hs_seminorm",
-    "hs_full_norm",
     "lp_norm",
     "l2_inner",
     "coupling_integral",
@@ -97,10 +96,6 @@ class Grid:
             out += m * m
         out.flags.writeable = False
         return out
-
-    def freq_abs_pow(self, power):
-        """|xi|^power for power >= 0 (inverses live in RegimeOperator)."""
-        return self.freq_sq_mesh ** (power / 2.0)
 
     @cached_property
     def _operators(self):
@@ -252,9 +247,6 @@ class SystemParams:
         """Power p dividing the coupling term: critical exponent when
         gamma=0, alpha+beta when gamma=1."""
         return self.crit_exp if self.gamma == 0 else self.alpha + self.beta
-
-    def swapped(self):
-        return SystemParams(self.dimension, self.s, self.beta, self.alpha, self.gamma)
 
 
 def from_powers(dimension, s, alpha, beta):
@@ -410,21 +402,6 @@ def lp_norm(u, p):
         raise ValueError(f"p must be >= 1, got {p}")
     g = u.grid
     return float((g.cell_volume * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
-
-
-def hs_seminorm(u, s):
-    """Homogeneous fractional seminorm: L2 norm of the |xi|^s multiplier.
-
-    Vanishes exactly on constants (the zero mode carries no weight).
-    """
-    if not (0.0 < s <= 1.0):
-        raise ValueError(f"s must lie in (0, 1], got {s}")
-    return float(np.sqrt(max(u.grid.operator(s, 0).quad(u.values), 0.0)))
-
-
-def hs_full_norm(u, s):
-    """Inhomogeneous norm sqrt(||u||_2^2 + seminorm^2)."""
-    return float(np.sqrt(lp_norm(u, 2) ** 2 + hs_seminorm(u, s) ** 2))
 
 
 def pair_norm(u, v, params):

@@ -1,5 +1,5 @@
 """Extremal profiles: the critical bubble, the subcritical ground state,
-the paired vector extremizer, and tail-exponent extraction.
+and tail-exponent extraction.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import minimize_quotient, paired_minimizer
+from .constants import minimize_quotient
 from .grids import Field
 from .options import MinimizeOpts
 
@@ -17,7 +17,6 @@ __all__ = [
     "talenti_bubble",
     "subcritical_ground_state",
     "ground_state_residual",
-    "paired_minimizer",
     "decay_exponent_fit",
     "DEFAULT_FIT_WINDOW",
 ]

@@ -37,6 +37,12 @@ def smooth_field(grid, rng, scale=1.0, decay=8.0):
     return Field(grid, scale * np.fft.ifftn(filt * np.fft.fftn(z)).real)
 
 
+def regime_norm(u, s, gamma):
+    """Norm of u under the regime operator |xi|^(2s) + gamma: the seminorm
+    at gamma=0, the full norm at gamma=1."""
+    return np.sqrt(u.grid.operator(s, gamma).quad(u.values))
+
+
 def low_mode_field(grid, coeffs, offset=0.0):
     """Explicit low-order trigonometric polynomial (exactly band-limited)."""
     x = grid.coord_mesh[0]

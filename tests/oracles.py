@@ -74,3 +74,22 @@ def upsample_1d(values, factor=2):
 
 def quadrature_1d(values, box_length):
     return box_length / values.size * np.sum(values)
+
+
+def signed_gradient(u, v, f, g, box_length, s, gamma, alpha, beta):
+    """Gradient densities of the energy with the signed coupling
+    |u|^alpha |v|^beta / (alpha + beta), on raw arrays over the periodic box
+    of side box_length: the operator |xi|^(2s) + gamma is applied with a
+    full complex FFT, and f, g are the forcing densities."""
+    shape = u.shape
+    axes = [2.0 * np.pi * np.fft.fftfreq(n, d=box_length / n) for n in shape]
+    xi_sq = sum(k * k for k in np.meshgrid(*axes, indexing="ij"))
+    symbol = xi_sq**s + gamma
+    p = alpha + beta
+
+    def op(x):
+        return np.fft.ifftn(symbol * np.fft.fftn(x)).real
+
+    gu = op(u) - alpha / p * np.sign(u) * np.abs(u) ** (alpha - 1) * np.abs(v) ** beta - f
+    gv = op(v) - beta / p * np.sign(v) * np.abs(v) ** (beta - 1) * np.abs(u) ** alpha - g
+    return gu, gv

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -255,12 +256,13 @@ class TestConfigParsing:
     def test_one_parser_per_process(self, capsys):
         # main parses with one cached parser: --help prints what a fresh
         # parser prints, every time, and a usage error still exits 2 after it
-        assert cli._parser() is cli._parser()
+        assert make_parser() is make_parser()
+        fresh = make_parser.__wrapped__().format_help()
         for _ in range(2):
             with pytest.raises(SystemExit) as info:
                 main(["--help"])
             assert info.value.code == 0
-            assert capsys.readouterr().out == make_parser().format_help()
+            assert capsys.readouterr().out == fresh
             assert main(["constants", "--bogus", "1"]) == EXIT_CONFIG
             assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
 
@@ -389,6 +391,13 @@ class TestSubcommands:
              "--output", str(tmp_path / "g2")]
         )
         assert code2 == EXIT_CONFIG
+        # so are they with the full-norm regime named explicitly
+        cfg_file = tmp_path / "gamma1.cfg"
+        cfg_file.write_text("alpha = 2.0\nbeta = 2.0\ngamma = 1\ngrid_size = 64\n")
+        code3 = run_cli(
+            ["ground-state", "--config", str(cfg_file), "--output", str(tmp_path / "g3")]
+        )
+        assert code3 == EXIT_CONFIG
 
     def test_solve_writes_report_and_fields(self, tmp_path):
         out = tmp_path / "s"
@@ -765,3 +774,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stderr == "" if stderr is None else stderr in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "module", ["constants", "energy", "forcing", "grids", "profiles", "solve", "verify"]
+)
+def test_all_lists_match_definitions(module):
+    # each name a module lists in __all__ is defined in it, and each public
+    # name the package re-exports is listed by the module that defines it
+    import fracsys
+
+    mod = importlib.import_module(f"fracsys.{module}")
+    foreign = [
+        name for name in mod.__all__
+        if not hasattr(mod, name)
+        or getattr(getattr(mod, name), "__module__", mod.__name__) != mod.__name__
+    ]
+    assert foreign == []
+    unlisted = [
+        name for name, obj in vars(fracsys).items()
+        if not name.startswith("_")
+        and getattr(obj, "__module__", None) == mod.__name__
+        and name not in mod.__all__
+    ]
+    assert unlisted == []

@@ -17,9 +17,9 @@ from fracsys import (
     sobolev_quotient,
     talenti_bubble,
     vector_quotient,
-    verify_strictness,
     lp_norm,
 )
+from fracsys.constants import QUOTIENT_OPTS
 from conftest import smooth_field
 
 
@@ -54,10 +54,10 @@ class TestRatioFormula:
 
 class TestStrictness:
     def test_equal_powers(self):
-        assert verify_strictness(2.0, 2.0) == pytest.approx(1.0, rel=1e-15)
+        assert ratio_formula(2.0, 2.0) - 1 == pytest.approx(1.0, rel=1e-15)
 
     def test_three_one(self):
-        assert verify_strictness(3.0, 1.0) == pytest.approx(0.7547653, rel=1e-7)
+        assert ratio_formula(3.0, 1.0) - 1 == pytest.approx(0.7547653, rel=1e-7)
 
     @given(
         alpha=st.floats(min_value=1.01, max_value=6.0),
@@ -65,7 +65,7 @@ class TestStrictness:
     )
     @settings(max_examples=50, deadline=None)
     def test_always_positive(self, alpha, beta):
-        assert verify_strictness(alpha, beta) > 0
+        assert ratio_formula(alpha, beta) - 1 > 0
 
 
 class TestCoercivity:
@@ -116,7 +116,7 @@ class TestConvexityRadius:
 
     def test_swap_invariance(self):
         pa = SystemParams(1, 0.25, 2.8, 1.2, 0)
-        pb = pa.swapped()
+        pb = SystemParams(1, 0.25, 1.2, 2.8, 0)
         assert convexity_radius(pa, 1.4) == pytest.approx(convexity_radius(pb, 1.4), rel=1e-12)
 
 
@@ -187,9 +187,19 @@ class TestQuotients:
 
 class TestMinimizeQuotient:
     def test_trace_monotone_nonincreasing(self, grid256, params_sub3):
-        res = minimize_quotient(grid256, params_sub3, mode="scalar")
-        assert all(b <= a + 1e-15 for a, b in zip(res.trace, res.trace[1:]))
-        assert res.converged
+        # the measure hook sees the value and the relative gap at the seed
+        # and at every accepted point; the last gap met the tolerance
+        values, gaps = [], []
+
+        def record(q, ds, slope):
+            values.append(q)
+            gaps.append(slope / q)
+            return gaps[-1]
+
+        res = minimize_quotient(grid256, params_sub3, mode="scalar", measure=record)
+        assert len(values) == res.iterations + 1
+        assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+        assert gaps[-1] <= QUOTIENT_OPTS.tol
 
     def test_vector_symmetric_powers_symmetric_pair(self, grid256, params_sub3):
         res = minimize_quotient(grid256, params_sub3, mode="vector")

@@ -8,15 +8,13 @@ from fracsys import (
     SystemParams,
     coupling_integral,
     frac_laplacian,
-    hs_full_norm,
-    hs_seminorm,
     l2_inner,
     lp_norm,
     make_grid,
     pow_plus,
 )
 from fracsys.grids import coupling_terms
-from conftest import low_mode_field, smooth_field
+from conftest import low_mode_field, regime_norm, smooth_field
 from oracles import gagliardo_seminorm_sq_1d, pv_frac_laplacian_1d
 
 
@@ -273,14 +271,14 @@ class TestNorms:
     def test_seminorm_single_mode(self):
         g = make_grid(1, 64, 2 * np.pi)
         u = Field(g, np.cos(2 * g.axis_coords))
-        assert hs_seminorm(u, 0.5) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
+        assert regime_norm(u, 0.5, 0) == pytest.approx(np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_seminorm_vanishes_iff_constant(self, grid64):
         u = Field(grid64, np.full(grid64.shape, 2.5))
-        assert hs_seminorm(u, 0.4) == pytest.approx(0.0, abs=1e-12)
+        assert regime_norm(u, 0.4, 0) == pytest.approx(0.0, abs=1e-12)
         rng = np.random.default_rng(1)
         v = smooth_field(grid64, rng)
-        assert hs_seminorm(v, 0.4) > 1e-3
+        assert regime_norm(v, 0.4, 0) > 1e-3
 
     def test_seminorm_against_difference_quotient_sum(self):
         # coarse grid, direct double sum with periodic images
@@ -291,23 +289,23 @@ class TestNorms:
         )
         s = 0.3
         direct = gagliardo_seminorm_sq_1d(u.values, g.box_length, s, images=60)
-        spectral = hs_seminorm(u, s) ** 2
+        spectral = regime_norm(u, s, 0) ** 2
         assert abs(direct - spectral) / spectral <= 0.05
 
     def test_full_norm_zero_field(self, grid64):
         u = Field(grid64, np.zeros(grid64.shape))
-        assert hs_full_norm(u, 0.3) == 0.0
+        assert regime_norm(u, 0.3, 1) == 0.0
 
     def test_full_norm_constant(self, grid64):
         c = -1.7
         u = Field(grid64, np.full(grid64.shape, c))
         vol = grid64.box_length**grid64.dimension
-        assert hs_full_norm(u, 0.3) == pytest.approx(abs(c) * np.sqrt(vol), rel=1e-12)
+        assert regime_norm(u, 0.3, 1) == pytest.approx(abs(c) * np.sqrt(vol), rel=1e-12)
 
     def test_full_norm_single_mode(self):
         g = make_grid(1, 64, 2 * np.pi)
         u = Field(g, np.cos(2 * g.axis_coords))
-        assert hs_full_norm(u, 0.5) == pytest.approx(np.sqrt(3 * np.pi), rel=1e-12)
+        assert regime_norm(u, 0.5, 1) == pytest.approx(np.sqrt(3 * np.pi), rel=1e-12)
 
     def test_plancherel_against_direct_dft(self):
         # independent route: O(P^2) discrete Fourier sum, no FFT
@@ -319,7 +317,7 @@ class TestNorms:
         xi = g.freq_axis
         uhat = np.array([np.sum(u.values * np.exp(-1j * w * x)) for w in xi])
         direct = g.cell_volume / g.num_points * np.sum(np.abs(xi) ** (2 * s) * np.abs(uhat) ** 2)
-        assert hs_seminorm(u, s) ** 2 == pytest.approx(direct, rel=1e-10)
+        assert regime_norm(u, s, 0) ** 2 == pytest.approx(direct, rel=1e-10)
 
     def test_lp_constant(self, grid64):
         u = Field(grid64, np.ones(grid64.shape))
@@ -474,4 +472,4 @@ class TestHigherDimensions:
         u = Field(g, np.cos(2 * X))
         # |xi| = 2 mode over volume (2 pi)^3: ||u||_2^2 = pi * (2 pi)^2
         expect = np.sqrt(2.0 ** (2 * 0.75) * np.pi * (2 * np.pi) ** 2)
-        assert hs_seminorm(u, 0.75) == pytest.approx(expect, rel=1e-12)
+        assert regime_norm(u, 0.75, 0) == pytest.approx(expect, rel=1e-12)
