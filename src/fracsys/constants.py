@@ -182,7 +182,10 @@ def _default_seed_field(grid):
     # and exp(-inf) = 0 is the seed's intended value there
     with np.errstate(over="ignore"):
         r = grid.radius_from(np.zeros(grid.dimension))
-        return np.exp(-(r**2) / 4.0)
+        # exp(-(r**2) / 4.0), computed in r's storage
+        r = np.negative(np.square(r, out=r), out=r)
+        r /= 4.0
+        return np.exp(r, out=r)
 
 
 def _relative_gap(q, ds, slope):
@@ -205,74 +208,98 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
     alpha/p and beta/p), so the full step x - d, renormalized, is the
     inverse iteration.  Each trial takes N once, to renormalize, and its
     gradient reuses it: two real transforms per field and iteration.
+
+    After setup the loop allocates no array on the grid: the point and the
+    trial alternate between two generations of iterates, and N, the
+    direction and one half spectrum of transform and quadratic-form work
+    are buffers this call owns, with the lifetimes ``descend`` fixes.  So
+    ``measure`` receives directions whose storage the next gradient
+    overwrites: it may read them, but must not keep them.
     """
     if mode not in ("scalar", "vector"):
         raise ValueError("mode must be 'scalar' or 'vector'")
+    res = _descend_quotient(grid, params, mode, opts, measure)
+    if not res.converged:
+        raise ConvergenceError(
+            f"quotient descent stopped at measure {res.measure:.3e} above tolerance "
+            f"{opts.tol:.3e} after {res.iterations} iterations"
+        )
+    return QuotientResult(res.point, float(res.value), res.iterations)
+
+
+def _descend_quotient(grid, params, mode, opts, measure):
+    """The quotient descent of ``minimize_quotient``; returns the Descent
+    with its point's fields alone.  The loop's buffers die with this call."""
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
     vol = grid.cell_volume
     op = grid.operator(params.s, params.gamma)
+    weights = (1.0,) if mode == "scalar" else (a / p, b / p)
+
+    seeds = [op.lift(_default_seed_field(grid)) for _ in weights]
+    generations = (seeds, [x.empty_like() for x in seeds])
+    ds = [x.empty_like() for x in seeds]
+    n_out = [np.empty(grid.shape) for _ in weights]
+    work = np.empty_like(seeds[0].xh)
+    halves = op.real_halves(work)
 
     if mode == "scalar":
 
         def nonlinear(x):
-            n = np.abs(x)
+            (n,) = n_out
+            np.abs(x, out=n)
             n **= p - 1.0
             return (np.copysign(n, x, out=n),)
 
-        weights = (1.0,)
     else:
+        scratch = np.empty(grid.shape)
 
         def nonlinear(x, y):
-            return coupling_terms(x, y, a, b, positive_parts=False)
-
-        weights = (a / p, b / p)
+            return coupling_terms(x, y, a, b, positive_parts=False, out=n_out, scratch=scratch)
 
     def renorm(xs):
         # the point on the constraint integral(N(x) x) = 1 through xs, its
         # terms N taken at xs: the rescaling by t multiplies them by t^(p-1)
         if params.gamma == 0:
-            xs = [x.center() for x in xs]
+            for x in xs:
+                x.center()
         terms = nonlinear(*(x.x for x in xs))
         c = vol * np.vdot(terms[0], xs[0].x)
         if not c > 0:
             raise ValueError("vanishing normalization integral")
         t = c ** (-1.0 / p)
-        return [x.scale(t) for x in xs], terms, t ** (p - 1.0)
+        for x in xs:
+            x.scale(t)
+        return xs, terms, t ** (p - 1.0)
 
     def evaluate(point):
-        q = sum(op.quad_hat(x.xh) for x in point[0])
+        q = sum(op.quad_hat(x.xh, halves) for x in point[0])
         if not q > 0:
             raise ValueError(f"quotient value {q} is not positive")
         return q, None
 
     def gradient(point, q, _):
         xs, terms, k = point
-        ds = []
-        for x, n, w in zip(xs, terms, weights):
-            dh = op.forward(n)
-            dh *= op.inverse
+        for x, n, w, d in zip(xs, terms, weights, ds):
+            dh = op.forward(n, out=d.xh)
+            op.multiply(op.inverse, dh, out=dh, scratch=work)
             dh *= -q * w * k
             dh += x.xh
-            ds.append(Iterate(op.backward(dh), dh))
+            op.backward(dh, out=d.x, work=work)
         # the L2 gradient is 2 Op d, so the value falls at the rate 2 |d|^2
-        slope = 2.0 * sum(op.quad_hat(d.xh) for d in ds)
+        slope = 2.0 * sum(op.quad_hat(d.xh, halves) for d in ds)
         return (ds, slope), measure(q, ds, slope)
 
     def retract(point, ds, tau):
-        return renorm([x.step(tau, d) for x, d in zip(point[0], ds)])
+        xs = generations[1] if point[0] is generations[0] else generations[0]
+        for x, d, out in zip(point[0], ds, xs):
+            x.step(tau, d, out)
+        return renorm(xs)
 
-    res = descend(
-        renorm([op.lift(_default_seed_field(grid)) for _ in weights]),
-        evaluate, gradient, lambda point, grad: grad, retract, opts,
-    )
-    if not res.converged:
-        raise ConvergenceError(
-            f"quotient descent stopped at measure {res.measure:.3e} above tolerance "
-            f"{opts.tol:.3e} after {res.iterations} iterations"
-        )
-    fields = tuple(Field(grid, x.x) for x in res.point[0])
-    return QuotientResult(fields, float(res.value), res.iterations)
+    res = descend(renorm(seeds), evaluate, gradient, lambda point, grad: grad, retract, opts)
+    # the fields are copied out while the buffers are held, so the buffers
+    # are freed below them and the next arrays reuse their pages
+    return res._replace(point=tuple(Field(grid, x.x) for x in res.point[0]))
 
 
 # ---------------------------------------------------------------------------

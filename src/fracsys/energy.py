@@ -58,41 +58,54 @@ def _lifted(u, v, params):
     return op, op.lift(u.values), op.lift(v.values), terms
 
 
-def energy_terms(grid, params, u, v, terms, fd=None, gd=None):
+def _sum_of_product(a, b, scratch=None):
+    """np.sum(a * b), the product written into scratch when given."""
+    return np.sum(np.multiply(a, b, out=scratch))
+
+
+def energy_terms(grid, params, u, v, terms, fd=None, gd=None, quads=None, scratch=None):
     """Energy of a pair of Iterates with ``terms``, their ``coupling_terms``
     pair, under forcing densities (fd, gd), raw arrays or None: the kernel
     behind ``energy`` and the solver's loop.  The quadratic term comes from
-    the half spectra, so it needs no transform."""
+    the half spectra, so it needs no transform; ``quads``, the pair of
+    ``quad_hat`` values, spares even that.  The products of the integrals
+    go into ``scratch``, a real array on the grid, when given."""
     op = grid.operator(params.s, params.gamma)
     cv = grid.cell_volume
-    quad = 0.5 * (op.quad_hat(u.xh) + op.quad_hat(v.xh))
-    coup = float(cv * np.sum(terms[0] * u.x)) / params.coupling_exponent
+    if quads is None:
+        quads = (op.quad_hat(u.xh), op.quad_hat(v.xh))
+    quad = 0.5 * (quads[0] + quads[1])
+    coup = float(cv * _sum_of_product(terms[0], u.x, scratch)) / params.coupling_exponent
     forc = 0.0
     if fd is not None:
-        forc += float(cv * np.sum(fd * u.x))
+        forc += float(cv * _sum_of_product(fd, u.x, scratch))
     if gd is not None:
-        forc += float(cv * np.sum(gd * v.x))
+        forc += float(cv * _sum_of_product(gd, v.x, scratch))
     return EnergyBreakdown(quad, coup, forc)
 
 
-def gradient_hat(grid, params, u, v, terms, fh=None, gh=None):
+def gradient_hat(grid, params, u, v, terms, fh=None, gh=None, out=None, scratch=None, work=None):
     """Half spectra of the gradient densities of a pair of Iterates with
     ``terms`` = (cu, cv) as in ``energy_terms``, under forcing half spectra
     (fh, gh) or None: the kernel behind ``gradient`` and the solver's loop.
     Only the coupling terms are transformed.  Component u: (regime
     operator) u - (alpha/p) cu - f; symmetrically for v.
+
+    A loop's buffers: ``out``, the pair of gradient spectra; ``scratch``, a
+    real array on the grid for the scaled term; ``work``, a half spectrum
+    for its transform.  Each is allocated when not given.
     """
     op = grid.operator(params.s, params.gamma)
-    a, b = params.alpha, params.beta
     p = params.coupling_exponent
-    cu, cv = terms
-    gu = op.symbol * u.xh - op.forward((a / p) * cu)
-    gv = op.symbol * v.xh - op.forward((b / p) * cv)
-    if fh is not None:
-        gu -= fh
-    if gh is not None:
-        gv -= gh
-    return gu, gv
+    grads = []
+    for x, c, w, h, g in zip((u, v), terms, (params.alpha / p, params.beta / p),
+                             (fh, gh), out or (None, None)):
+        g = op.multiply(op.symbol, x.xh, out=g)
+        g -= op.forward(np.multiply(w, c, out=scratch), out=work)
+        if h is not None:
+            g -= h
+        grads.append(g)
+    return tuple(grads)
 
 
 def energy(u, v, f, g, params):

@@ -113,7 +113,10 @@ def gaussian_density(grid, center=None, width=1.0, amplitude=1.0):
     if width <= 0 or amplitude <= 0:
         raise ValueError("width and amplitude must be positive")
     r = grid.radius_from(center)
-    return Field(grid, amplitude * np.exp(-(r**2) / (2.0 * width**2)))
+    # amplitude * exp(-(r**2) / (2 width^2)), computed in r's storage
+    r = np.negative(np.square(r, out=r), out=r)
+    r /= 2.0 * width**2
+    return Field(grid, np.multiply(amplitude, np.exp(r, out=r), out=r))
 
 
 def indicator_density(grid, center=None, radius=1.0, amplitude=1.0):

@@ -115,10 +115,14 @@ class Grid:
         center = np.atleast_1d(np.asarray(center, dtype=float))
         if center.size != self.dimension:
             raise ValueError("center has wrong dimension")
+        # each axis's squared offsets broadcast along the others: only the
+        # result is a grid-sized array
         r2 = np.zeros(self.shape)
-        for axis_mesh, c in zip(self.coord_mesh, center):
-            r2 += (axis_mesh - c) ** 2
-        return np.sqrt(r2)
+        for k, c in enumerate(center):
+            along = [1] * self.dimension
+            along[k] = self.points_per_axis
+            r2 += np.square(self.axis_coords - c).reshape(along)
+        return np.sqrt(r2, out=r2)
 
     def contains(self, point):
         point = np.atleast_1d(np.asarray(point, dtype=float))
@@ -272,19 +276,30 @@ class RegimeOperator:
     ``apply``, ``solve``, ``quad`` and ``dual_norm`` take raw arrays on the
     grid's shape; ``lift``, ``forward``, ``backward``, ``form``, ``quad_hat``
     and ``norm_hat`` let a loop keep its iterates as half spectra too.
+
+    The operator holds no scratch, so grids and their operators can be
+    shared across threads.  A loop that owns its buffers passes them in:
+    ``forward``, ``backward`` and ``multiply`` write into ``out``,
+    ``backward`` takes the leading axes into the half spectrum ``work``, and
+    ``form`` squares into ``real_halves`` of one; without them they
+    allocate.
     """
 
     def __init__(self, grid, s, gamma):
         half = grid.points_per_axis // 2 + 1
         axes = [grid.freq_axis] * (grid.dimension - 1) + [grid.freq_axis[:half]]
-        freq_sq = sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))
-        symbol = freq_sq**s + float(gamma)
+        # |xi|^2, then the symbol in its storage
+        symbol = sum(m * m for m in np.meshgrid(*axes, indexing="ij", sparse=True))
+        symbol **= s
+        symbol += float(gamma)
         inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
         symbol.flags.writeable = False
         inverse.flags.writeable = False
         self.symbol, self.inverse = symbol, inverse
         self.shape = grid.shape
-        self._axes = tuple(range(grid.dimension))
+        # the leading axes, last first: ifftn takes them from the back, so it
+        # transforms axis 0 first, as irfftn does
+        self._lead = tuple(range(grid.dimension - 2, -1, -1))
         # Hermitian weights: the last axis's 0 and Nyquist columns hold modes
         # without a mirror partner in the half spectrum, every other column
         # stands for itself and its conjugate
@@ -295,13 +310,27 @@ class RegimeOperator:
         # operators form no cycle
         self._herm = herm * (grid.cell_volume / grid.num_points)
 
-    def forward(self, x):
+    def forward(self, x, out=None):
         """Half spectrum of a real array on the grid."""
-        return np.fft.rfftn(x)
+        return np.fft.rfftn(x, out=out)
 
-    def backward(self, xh):
-        """Real array on the grid from its half spectrum."""
-        return np.fft.irfftn(xh, s=self.shape, axes=self._axes)
+    def backward(self, xh, out=None, work=None):
+        """Real array on the grid from its half spectrum: irfftn's passes,
+        the leading axes complex into ``work`` and then the last axis real."""
+        if self._lead:
+            xh = np.fft.ifftn(xh, axes=self._lead, out=work)
+        return np.fft.irfft(xh, n=self.shape[-1], out=out)
+
+    def multiply(self, multiplier, xh, out=None, scratch=None):
+        """multiplier * xh for a real multiplier on the half lattice, such
+        as ``symbol`` or ``inverse``, into ``out`` when given.  The
+        multiplier is first written into ``scratch`` (by default ``out``,
+        which then must not be xh) as complex: numpy casts it so, bit for
+        bit, but into a buffer it allocates on every call."""
+        out = np.empty_like(xh) if out is None else out
+        scratch = out if scratch is None else scratch
+        scratch[...] = multiplier
+        return np.multiply(scratch, xh, out=out)
 
     def lift(self, x):
         """The Iterate of a real array on the grid."""
@@ -315,22 +344,35 @@ class RegimeOperator:
         """Op^{-1} x; at gamma=0 the mean-zero y with Op y = x - mean(x)."""
         return self.backward(self.inverse * self.forward(x))
 
-    def form(self, xh, multiplier=1.0):
+    @staticmethod
+    def real_halves(spectrum):
+        """Two real arrays on the half lattice in the storage of the half
+        spectrum ``spectrum``: the scratch ``form`` takes."""
+        flat, n = spectrum.reshape(-1).view(np.float64), spectrum.size
+        return flat[:n].reshape(spectrum.shape), flat[n:].reshape(spectrum.shape)
+
+    def form(self, xh, multiplier=1.0, scratch=None):
         """integral(x * M x) for the Fourier multiplier M, from the half
         spectrum xh of x: a Hermitian-weighted sum of M |xh|^2 that equals
         the physical-space quadrature exactly (discrete Parseval).  Squares
-        in place and weights the last axis with one product, a scalar already
+        in place, into the pair ``scratch`` (see ``real_halves``) when
+        given, and weights the last axis with one product, a scalar already
         on a 1-D grid: a cached multiplier * weights array would cost a half
         spectrum per operator."""
-        sq = np.square(xh.real)
-        sq += np.square(xh.imag)
+        if scratch is None:
+            sq = np.square(xh.real)
+            sq += np.square(xh.imag)
+        else:
+            sq, im = scratch
+            np.square(xh.real, out=sq)
+            sq += np.square(xh.imag, out=im)
         sq *= multiplier
         weighted = sq @ self._herm
         return float(weighted.sum() if weighted.ndim else weighted)
 
-    def quad_hat(self, xh):
+    def quad_hat(self, xh, scratch=None):
         """Quadratic form integral(x * Op x) from the half spectrum of x."""
-        return self.form(xh, self.symbol)
+        return self.form(xh, self.symbol, scratch)
 
     def quad(self, x):
         """Quadratic form integral(x * Op x)."""
@@ -353,16 +395,24 @@ class Iterate(NamedTuple):
     The descent loops move, rescale and center their iterates only by
     linear maps, which act on both members alike, so an iterate needs a
     transform only where it is built from values alone.  ``step`` makes a
-    new iterate; ``scale`` and ``center`` change one in place, so a loop
-    renormalizes a fresh trial without copying it.
+    trial in storage the loop owns; ``scale`` and ``center`` change one in
+    place, so a loop renormalizes a fresh trial without copying it.
     """
 
     x: np.ndarray
     xh: np.ndarray
 
-    def step(self, tau, d):
-        """A new iterate self - tau * d."""
-        return Iterate(self.x - tau * d.x, self.xh - tau * d.xh)
+    def empty_like(self):
+        """An iterate with fresh, unset storage of the same shapes."""
+        return Iterate(np.empty_like(self.x), np.empty_like(self.xh))
+
+    def step(self, tau, d, out):
+        """self - tau * d, written into the iterate out (which must not be
+        self or d)."""
+        x, xh = out
+        np.subtract(self.x, np.multiply(tau, d.x, out=x), out=x)
+        np.subtract(self.xh, np.multiply(tau, d.xh, out=xh), out=xh)
+        return out
 
     def scale(self, c):
         """Multiply by c in place."""
@@ -411,36 +461,57 @@ def pair_norm(u, v, params):
     return op.norm_hat(op.forward(u.values), op.forward(v.values))
 
 
-def pow_plus(values, exponent):
+# the powers numpy's ``**`` computes by another ufunc, so that pow_plus
+# matches x ** exponent bit for bit at these exponents too
+_FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive, -1.0: np.reciprocal}
+
+
+def pow_plus(values, exponent, out=None):
     """Positive part raised to a power, with the conventions the energy's
     second variation needs at the degenerate set {u <= 0}:
 
       exponent > 0 : max(u, 0)^exponent
       exponent == 0: indicator(u > 0)
       exponent < 0 : u^exponent on {u > 0}, zero elsewhere
+
+    Only the support takes a power: most of a localized profile is at or
+    below zero.  Written into ``out`` when given.
     """
     pos = values > 0
+    if out is None:
+        out = np.zeros(values.shape)
+    else:
+        out.fill(0.0)
     if exponent == 0:
-        return pos.astype(float)
-    out = np.maximum(values, 0.0) + ~pos  # base 1 off the support: finite, and pow is slow on 0
-    out **= exponent
-    out *= pos
-    return out
+        return np.add(out, pos, out=out)
+    power = _FAST_POWERS.get(exponent)
+    if power is None:
+        return np.power(values, exponent, out=out, where=pos)
+    return power(values, out=out, where=pos)
 
 
-def coupling_terms(x, y, a, b, positive_parts=True):
+def coupling_terms(x, y, a, b, positive_parts=True, out=None, scratch=None):
     """The partial densities of the coupling x^a y^b at raw arrays x, y:
     cu = x_+^(a-1) y_+^b and cv = y_+^(b-1) x_+^a (pow_plus conventions), or
     without positive_parts sign(x)|x|^(a-1)|y|^b and sign(y)|y|^(b-1)|x|^a
     for a, b >= 1, from two powers P = x^(a-1), Q = y^(b-1): cu = P (Q y) and
-    cv = Q (P x), never P Q, which can overflow.  The integrand is cu * x."""
-    if positive_parts:
-        p, q = pow_plus(x, a - 1.0), pow_plus(y, b - 1.0)
-    else:
-        p, q = np.abs(x) ** (a - 1.0), np.abs(y) ** (b - 1.0)
-        p *= np.sign(x)
-        q *= np.sign(y)
-    return p * (q * y), q * (p * x)
+    cv = Q (P x), never P Q, which can overflow.  The integrand is cu * x.
+
+    ``out`` receives (cu, cv) and ``scratch``, a third array on the grid,
+    holds P; both are allocated when not given.
+    """
+    cu, cv = (np.empty(x.shape), np.empty(x.shape)) if out is None else out
+    p, q = np.empty(x.shape) if scratch is None else scratch, cv
+    for base, power, e in ((x, p, a - 1.0), (y, q, b - 1.0)):
+        if positive_parts:
+            pow_plus(base, e, out=power)
+        else:
+            np.abs(base, out=power)
+            power **= e
+            power *= np.sign(base, out=cu)
+    np.multiply(p, np.multiply(q, y, out=cu), out=cu)
+    np.multiply(q, np.multiply(p, x, out=p), out=cv)
+    return cu, cv
 
 
 def coupling_integral(u, v, alpha, beta, positive_parts=True):

@@ -62,6 +62,19 @@ def descend(point, evaluate, gradient, direction, retract, opts):
     ``converged`` is false when they run out or the full step fails.  The
     spent gradient and state, the spent direction and each rejected trial
     are dropped before the next large array is built.
+
+    These lifetimes let a caller keep every array of the loop in storage
+    it owns and writes in place:
+      - at most two points live at once, the current one and one trial, so
+        each trial can be built in the storage the current point does not
+        use, over the last rejected trial;
+      - a point's state lives from its evaluate to its gradient, or to its
+        rejection, so one storage serves every point's state;
+      - a gradient lives until its direction is taken, and a direction
+        until the next gradient is asked for, so each may be written over
+        the other's storage.
+    The returned point is the last accepted one, untouched since; its
+    state is not kept.
     """
     value, state = evaluate(point)
     grad, measure = gradient(point, value, state)

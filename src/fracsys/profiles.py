@@ -80,9 +80,10 @@ def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):
         raise ValueError("ground-state solve needs alpha+beta strictly below critical")
     op = grid.operator(params.s, params.gamma)
     symbol_sq = op.symbol**2
+    halves = op.real_halves(np.empty(op.symbol.shape, complex))  # the hook's own form scratch
 
     def residual(q, ds, slope):
-        return q ** (1.0 / (p - 2.0)) * np.sqrt(op.form(ds[0].xh, symbol_sq))
+        return q ** (1.0 / (p - 2.0)) * np.sqrt(op.form(ds[0].xh, symbol_sq, halves))
 
     result = minimize_quotient(grid, params, mode="scalar", opts=opts, measure=residual)
     mu = result.value ** (1.0 / (p - 2.0))

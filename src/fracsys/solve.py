@@ -70,34 +70,43 @@ class SolveReport:
         }
 
 
-def _gradient(grid, params, u, v, terms, fh, gh):
+def _gradient(grid, params, u, v, terms, fh, gh, **buffers):
     """Half spectra of the gradient densities at the Iterates (u, v) and their
     coupling terms, less the zero mode at gamma=0 (the mean-zero problem
-    cannot control it)."""
-    gu, gv = gradient_hat(grid, params, u, v, terms, fh, gh)
+    cannot control it); ``buffers`` as for ``gradient_hat``."""
+    gu, gv = gradient_hat(grid, params, u, v, terms, fh, gh, **buffers)
     if params.gamma == 0:
         gu.flat[0] = gv.flat[0] = 0.0
     return gu, gv
 
 
-def _grad_l2(op, grad):
+def _grad_l2(op, grad, scratch=None):
     """Termination norm: the L2 norm of the gradient densities, from their
     half spectra (discrete Parseval)."""
-    return float(np.sqrt(sum(op.form(gh) for gh in grad)))
+    return float(np.sqrt(sum(op.form(gh, scratch=scratch) for gh in grad)))
 
 
-def _step(op, u, v, du, dv, tau, r):
-    """Move the pair of Iterates by tau along the descent direction,
-    projecting it back onto the ball of radius PROJECTION_FRACTION * r if
-    it leaves."""
-    un, vn = u.step(tau, du), v.step(tau, dv)
-    nrm = op.norm_hat(un.xh, vn.xh)
+def _norm(quads):
+    """The pair norm from the two quad_hat values, summed as norm_hat sums."""
+    return float(np.sqrt(max(sum(quads), 0.0)))
+
+
+def _step(op, u, v, du, dv, tau, r, out, halves):
+    """Move the pair of Iterates by tau along the descent direction into the
+    pair ``out``, projecting it back onto the ball of radius
+    PROJECTION_FRACTION * r if it leaves.  Returns the new pair, whether it
+    was projected, and its two quad_hat values, which give its energy's
+    quadratic term and its norm."""
+    un, vn = u.step(tau, du, out[0]), v.step(tau, dv, out[1])
+    quads = (op.quad_hat(un.xh, halves), op.quad_hat(vn.xh, halves))
+    nrm = _norm(quads)
     projected = nrm > PROJECTION_FRACTION * r
     if projected:
         sc = PROJECTION_FRACTION * r / nrm
         un.scale(sc)
         vn.scale(sc)
-    return un, vn, projected
+        quads = (op.quad_hat(un.xh, halves), op.quad_hat(vn.xh, halves))
+    return un, vn, projected, quads
 
 
 def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
@@ -115,7 +124,15 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
     need no transform: each gradient transforms the two coupling densities
     forward and each descent direction comes back, four real transforms
     per iteration (six when the fallback step is tried).  Each trial point
-    takes its coupling powers once, for its energy and then its gradient.
+    takes its coupling powers once, for its energy and then its gradient,
+    and its two quadratic forms once, for its norm, energy and trace row.
+
+    After setup the loop allocates no array on the grid: every one of an
+    iteration is written into buffers this call owns, with the lifetimes
+    ``descend`` fixes.  The point and the trial alternate between two
+    pairs; the coupling terms and their scratch serve each trial in turn;
+    the gradient spectra become the direction's spectra in place; and one
+    half spectrum is the work array of every transform and quadratic form.
     """
     grid, params = constants.grid, constants.params
     for h in (f, g):
@@ -133,44 +150,9 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
             "interior-minimizer certificate not guaranteed"
         )
 
-    op = grid.operator(params.s, params.gamma)
-    fd, gd = (None if h is None else h.density.values for h in (f, g))
-    f_hat, g_hat = (None if h is None else op.forward(h) for h in (fd, gd))
-
-    def evaluate(point):
-        u, v, _ = point
-        terms = coupling_terms(u.x, v.x, params.alpha, params.beta)
-        return energy_terms(grid, params, u, v, terms, fd, gd).total, terms
-
-    rows = []
-
-    def gradient(point, E, terms):
-        u, v, _ = point
-        grad = _gradient(grid, params, u, v, terms, f_hat, g_hat)
-        gn = _grad_l2(op, grad)
-        rows.append((E, gn, op.norm_hat(u.xh, v.xh) / r))
-        return grad, gn
-
-    def direction(point, grad):
-        ds = tuple(Iterate(op.backward(dh), dh) for dh in (op.inverse * gh for gh in grad))
-        return ds, sum(op.form(gh, op.inverse) for gh in grad)
-
-    def retract(point, ds, tau):
-        return _step(op, point[0], point[1], *ds, tau, r)
-
-    if start is None:
-        u = v = Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
-    else:
-        # a copy, centered at gamma=0 where the problem is posed mean-zero
-        u, v = (op.lift(w.values.copy()) for w in start)
-        if params.gamma == 0:
-            u, v = u.center(), v.center()
-    (u, v, boundary_active), E, gn, iterations, converged = descend(
-        (u, v, False), evaluate, gradient, direction, retract, opts
-    )
-    # the rows of the accepted points; a rejected full step evaluated one more
-    trace = tuple((i, *row) for i, row in enumerate(rows[: iterations + 1]))
-    bfrac = op.norm_hat(u.xh, v.xh) / r
+    res, trace = _descend_pair(grid, params, f, g, r, start, opts)
+    (u, v, boundary_active, quads), E, gn, iterations, converged = res
+    bfrac = _norm(quads) / r
     if not converged:
         if boundary_active or bfrac >= PROJECTION_FRACTION - 1e-12:
             warnings.append(
@@ -182,7 +164,6 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
                 f"gradient norm {gn:.3e} above tolerance {opts.tol:.3e} "
                 f"after {iterations} iterations"
             )
-    u, v = Field(grid, u.x), Field(grid, v.x)
     sum_norm = lp_norm(u + v, 2)
     distinct = lp_norm(u - v, 2) / sum_norm if sum_norm > 0 else 0.0
     return SolveReport(
@@ -205,6 +186,69 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
     )
 
 
+def _descend_pair(grid, params, f, g, r, start, opts):
+    """The solver's descent from ``start`` or (0, 0); returns the Descent,
+    its point's pair as Fields, and the trace rows of its accepted points.
+    The loop's buffers die with this call."""
+    op = grid.operator(params.s, params.gamma)
+    fd, gd = (None if h is None else h.density.values for h in (f, g))
+    f_hat, g_hat = (None if h is None else op.forward(h) for h in (fd, gd))
+
+    if start is None:
+        pair = [Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
+                for _ in range(2)]
+    else:
+        # a copy, centered at gamma=0 where the problem is posed mean-zero
+        pair = [op.lift(w.values.copy()) for w in start]
+        if params.gamma == 0:
+            pair = [x.center() for x in pair]
+    generations = (pair, [x.empty_like() for x in pair])
+    terms_out = (np.empty(grid.shape), np.empty(grid.shape))
+    grads = (np.empty_like(pair[0].xh), np.empty_like(pair[0].xh))
+    steps = (np.empty(grid.shape), np.empty(grid.shape))
+    work = np.empty_like(pair[0].xh)
+    halves = op.real_halves(work)
+    # an evaluation runs no transform or form, so its real scratch can live
+    # in the work spectrum's storage; a gradient's is the spent direction's
+    scratch = work.reshape(-1).view(np.float64)[: grid.num_points].reshape(grid.shape)
+
+    def evaluate(point):
+        u, v, _, quads = point
+        terms = coupling_terms(u.x, v.x, params.alpha, params.beta, out=terms_out, scratch=scratch)
+        return energy_terms(grid, params, u, v, terms, fd, gd, quads, scratch).total, terms
+
+    rows = []
+
+    def gradient(point, E, terms):
+        u, v, _, quads = point
+        grad = _gradient(grid, params, u, v, terms, f_hat, g_hat,
+                         out=grads, scratch=steps[0], work=work)
+        gn = _grad_l2(op, grad, halves)
+        rows.append((E, gn, _norm(quads) / r))
+        return grad, gn
+
+    def direction(point, grad):
+        slope = sum(op.form(gh, op.inverse, halves) for gh in grad)
+        for gh, x in zip(grad, steps):
+            op.backward(op.multiply(op.inverse, gh, out=gh, scratch=work), out=x, work=work)
+        return tuple(Iterate(x, gh) for x, gh in zip(steps, grad)), slope
+
+    def retract(point, ds, tau):
+        u, v = point[:2]
+        out = generations[1] if u is generations[0][0] else generations[0]
+        return _step(op, u, v, *ds, tau, r, out, halves)
+
+    u, v = pair
+    quads = (op.quad_hat(u.xh, halves), op.quad_hat(v.xh, halves))
+    res = descend((u, v, False, quads), evaluate, gradient, direction, retract, opts)
+    # the fields are copied out while the buffers are held, so the buffers
+    # are freed below them and the next arrays reuse their pages
+    u, v, projected, quads = res.point
+    res = res._replace(point=(Field(grid, u.x), Field(grid, v.x), projected, quads))
+    # the rows of the accepted points; a rejected full step evaluated one more
+    return res, tuple((i, *row) for i, row in enumerate(rows[: res.iterations + 1]))
+
+
 def residual(u, v, f, g, params):
     """L2 norm of the pair of strong-form equation residuals.
 
@@ -214,9 +258,12 @@ def residual(u, v, f, g, params):
     """
     op = u.grid.operator(params.s, params.gamma)
     f_hat, g_hat = (None if h is None else op.forward(h.density.values) for h in (f, g))
-    terms = coupling_terms(u.values, v.values, params.alpha, params.beta)
-    grad = _gradient(u.grid, params, op.lift(u.values), op.lift(v.values), terms, f_hat, g_hat)
-    return _grad_l2(op, grad)
+    scratch = np.empty(u.grid.shape)
+    terms = coupling_terms(u.values, v.values, params.alpha, params.beta, scratch=scratch)
+    x, y = op.lift(u.values), op.lift(v.values)
+    work = np.empty_like(x.xh)
+    grad = _gradient(u.grid, params, x, y, terms, f_hat, g_hat, scratch=scratch, work=work)
+    return _grad_l2(op, grad, op.real_halves(work))
 
 
 def positivity_check(report):

@@ -42,12 +42,18 @@ class CheckResult:
     detail: str
 
 
-def _smooth_probe(grid, rng, scale=1.0):
-    """A random smooth field as an Iterate: white noise filtered by a
-    Gaussian on |xi|^2, with the half spectrum the filter produced."""
+def _smooth_probes(grid, rng):
+    """A maker of random smooth fields as Iterates: white noise from rng
+    filtered by a Gaussian on |xi|^2, with the half spectrum the filter
+    produced.  The filter is built once per maker, so once per check."""
     lap = grid.operator(1, 0)  # its symbol is |xi|^2 on the half lattice
-    zh = np.exp(-lap.symbol / SMOOTHING_DECAY) * lap.forward(rng.standard_normal(grid.shape))
-    return grids.Iterate(lap.backward(zh), zh).scale(scale)
+    smoothing = np.exp(-lap.symbol / SMOOTHING_DECAY)
+
+    def probe(scale=1.0):
+        zh = smoothing * lap.forward(rng.standard_normal(grid.shape))
+        return grids.Iterate(lap.backward(zh), zh).scale(scale)
+
+    return probe
 
 
 def check_multiplier_exactness(grid, params):
@@ -93,17 +99,18 @@ def check_gradient_consistency(grid, params, rng):
     g = make_forcing(gaussian_density(grid, width=1.5), params)
     step = 1e-5
     positive_base = min(params.alpha, params.beta) < 2.0
+    probe = _smooth_probes(grid, rng)
     worst = 0.0
     for _ in range(GRADIENT_POINTS):
-        u = _smooth_probe(grid, rng, scale=0.5).x
-        v = _smooth_probe(grid, rng, scale=0.5).x
+        u = probe(0.5).x
+        v = probe(0.5).x
         if positive_base:
             u, v = np.abs(u) + 0.1, np.abs(v) + 0.1
         u, v = Field(grid, u), Field(grid, v)
         gu, gv = gradient(u, v, f, g, params)
         for _ in range(GRADIENT_DIRECTIONS // GRADIENT_POINTS):
-            phi = Field(grid, _smooth_probe(grid, rng).x)
-            psi = Field(grid, _smooth_probe(grid, rng).x)
+            phi = Field(grid, probe().x)
+            psi = Field(grid, probe().x)
             pred = grids.l2_inner(gu, phi) + grids.l2_inner(gv, psi)
             ep = energy(u + step * phi, v + step * psi, f, g, params).total
             em = energy(u - step * phi, v - step * psi, f, g, params).total
@@ -121,18 +128,19 @@ def check_hessian_positivity(constants, rng):
     grid, params, r = constants.grid, constants.params, constants.radius
     p = params.coupling_exponent
     op = grid.operator(params.s, params.gamma)
+    probe = _smooth_probes(grid, rng)
     min_q = np.inf
     bound_ok = True
     for _ in range(HESSIAN_SAMPLES):
         # strictly positive base pair, scaled to a random interior radius
-        u = Field(grid, np.abs(_smooth_probe(grid, rng).x) + 0.1)
-        v = Field(grid, np.abs(_smooth_probe(grid, rng).x) + 0.1)
+        u = Field(grid, np.abs(probe().x) + 0.1)
+        v = Field(grid, np.abs(probe().x) + 0.1)
         nrm = pair_norm(u, v, params)
         target = (0.05 + 0.9 * rng.random()) * 0.95 * r
         u, v = (target / nrm) * u, (target / nrm) * v
         # the directions keep their half spectra, so their norm needs no transform
-        phi = _smooth_probe(grid, rng)
-        psi = _smooth_probe(grid, rng)
+        phi = probe()
+        psi = probe()
         q = hessian_quadform(u, v, phi, psi, params)
         lower = (1.0 - (target / r) ** (p - 2.0)) * op.norm_hat(phi.xh, psi.xh) ** 2
         min_q = min(min_q, q)
@@ -148,7 +156,7 @@ def check_hessian_positivity(constants, rng):
 def check_ratio_identity(grid, params, rng):
     """Coupled quotient of the paired extremizer equals the closed-form
     ratio times the scalar quotient, for any profile (exact identity)."""
-    w = Field(grid, np.abs(_smooth_probe(grid, rng).x) + 0.05)
+    w = Field(grid, np.abs(_smooth_probes(grid, rng)().x) + 0.05)
     bu, cv_ = paired_minimizer(w, params.alpha, params.beta)
     lhs = vector_quotient(bu, cv_, params)
     rhs = ratio_formula(params.alpha, params.beta) * sobolev_quotient(w, params)

@@ -431,6 +431,20 @@ class TestCouplingTerms:
             want = np.where(x > 0, np.where(x > 0, up, 1.0) ** exponent, 0.0)
         np.testing.assert_array_equal(pow_plus(x, exponent), want)
 
+    @pytest.mark.parametrize("exponent", [0.0, 1.0, -1.0, 0.5, 2.0, 0.8, 0.2])
+    def test_support_only_power_has_the_bits_of_the_direct_formula(self, exponent):
+        # the support alone is raised, by the ufunc numpy's ** picks for the
+        # exponents it computes another way; off it the value is +0
+        x, _ = self._fields()
+        x[20:25] = -0.0
+        x[40:60] = np.geomspace(1e-150, 1e150, 20)
+        base = np.where(x > 0, x, 1.0)
+        want = np.where(x > 0, base**exponent, 0.0)
+        out = np.full(x.shape, np.nan)
+        for got in (pow_plus(x, exponent), pow_plus(x, exponent, out=out)):
+            assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(pow_plus(x, exponent, out=out), out)
+
     @pytest.mark.parametrize(
         "a,b,tail",
         [(1.6, 2.4, 0), (2.4, 1.3, 0), (1.0, 1.0, 0), (2.0, 3.0, 0), (1.1, 1.1, 1e-172)],

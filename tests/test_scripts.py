@@ -107,3 +107,28 @@ def test_reference_outputs_compare_fields(tmp_path, capsys):
         "u_bar.csv: values identical",
         "u_bar.csv: 2 values moved, max relative change 1.7e-16",
     ]
+
+
+def test_alloc_report_prints_every_phase(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    (tmp_path / "run.cfg").write_text(
+        "dimension = 1\ns = 0.25\nalpha = 1.5\nbeta = 1.5\ngrid_size = 64\n"
+        "box_length = 40.0\noutput = out\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "alloc_report.py"), "run.cfg", "solve"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
+    assert rows["phase"] == ["calls", "wall_s", "minflt", "peak_mb"]
+    # one measurement, two forcings built, scaled and solved with, and the
+    # two fields, the report and the trace written
+    calls = {phase: int(rows[phase][0]) for phase in ("constants", "forcing", "solve", "io", "command")}
+    assert calls == {"constants": 1, "forcing": 6, "solve": 1, "io": 4, "command": 1}
+    assert all(float(v) >= 0 for phase in calls for v in rows[phase][1:])
+    assert rows["exit"] == ["0"]
+    assert (tmp_path / "out" / "u_bar.csv").exists()

@@ -32,6 +32,23 @@ FFT_FUNCS = (
 )
 
 
+def _record(calls, name, a, axes):
+    """Append one numpy.fft call to ``calls``.  A real backward transform on
+    a 2-D or 3-D grid is two calls, ifftn over the leading axes into a work
+    array and irfft over the last axis: the pair counts as one irfftn, as
+    does irfft alone on a 1-D array.  Any other complex transform, or half
+    of the pair alone, keeps a name of its own."""
+    leading = axes is not None and a.ndim - 1 not in {ax % a.ndim for ax in axes}
+    if name == "ifftn" and leading:
+        calls.append("ifftn over leading axes")
+    elif name == "irfft" and a.ndim == 1:
+        calls.append("irfftn")
+    elif name == "irfft" and calls[-1:] == ["ifftn over leading axes"]:
+        calls[-1] = "irfftn"
+    else:
+        calls.append(name)
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     calls = []
@@ -39,7 +56,7 @@ def fft_calls(monkeypatch):
         fn = getattr(np.fft, name)
 
         def counted(*args, _name=name, _fn=fn, **kwargs):
-            calls.append(_name)
+            _record(calls, _name, np.asarray(args[0]), kwargs.get("axes"))
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -71,22 +88,32 @@ def test_quotient_iteration_budget(problem, fft_calls, mode, per_iter, setup):
 def test_vector_quotient_takes_coupling_powers_once_per_trial_point(problem, monkeypatch):
     import importlib
 
-    from fracsys.grids import coupling_terms
+    from fracsys.grids import Iterate, coupling_terms
 
     constants_mod = importlib.import_module("fracsys.constants")
     grid, params = problem
-    kernel_calls = []
+    kernel_calls, steps = [], []
 
     def counted_kernel(x, *args, **kwargs):
-        kernel_calls.append(x)
+        kernel_calls.append((x, len(steps)))
         return coupling_terms(x, *args, **kwargs)
 
+    def counted_step(self, *args, _step=Iterate.step):
+        steps.append(_step(self, *args))
+        return steps[-1]
+
     monkeypatch.setattr(constants_mod, "coupling_terms", counted_kernel)
+    monkeypatch.setattr(Iterate, "step", counted_step)
     res = minimize_quotient(grid, params, mode="vector")
     assert res.iterations > 5
-    # renormalizing a trial takes its powers, and its gradient reuses them:
-    # no array reaches the kernel twice
-    assert len({id(x) for x in kernel_calls}) == len(kernel_calls)
+    # the trials' storage is reused, so the kernel is counted against the
+    # trial points: the seed's powers, then each trial's once, both of its
+    # fields stepped before its first field reaches the kernel
+    assert len(steps) % 2 == 0
+    assert len(kernel_calls) == 1 + len(steps) // 2
+    assert kernel_calls[0][1] == 0
+    for k, (x, stepped) in enumerate(kernel_calls[1:], start=1):
+        assert stepped == 2 * k and x is steps[stepped - 2].x
 
 
 def test_ground_state_iteration_budget(fft_calls, monkeypatch):
@@ -166,7 +193,7 @@ def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch)
     kernel_calls, trial_points, energy_kernel_calls = [], [], []
 
     def counted_kernel(x, *args, **kwargs):
-        kernel_calls.append(x)
+        kernel_calls.append((x, len(trial_points)))
         return coupling_terms(x, *args, **kwargs)
 
     def counted_step(*args, _step=solve_mod._step):
@@ -185,9 +212,13 @@ def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch)
     rep = solve_system(f, f, constants)
     assert rep.converged and rep.iterations > 3
     assert energy_kernel_calls == []
-    # the start and then trial points only, each at most once
-    assert len({id(x) for x in kernel_calls}) == len(kernel_calls)
-    assert all(any(x is t for t in trial_points) for x in kernel_calls[1:])
+    # the trials' storage is reused, so the kernel is counted against the
+    # trial points evaluated: the start, then each trial once, right after
+    # it was stepped
+    assert len(kernel_calls) == 1 + len(trial_points)
+    assert kernel_calls[0][1] == 0
+    for k, (x, stepped) in enumerate(kernel_calls[1:], start=1):
+        assert stepped == k and x is trial_points[k - 1]
 
 
 def test_hessian_check_budget(problem, fft_calls):
