@@ -26,6 +26,7 @@ __all__ = [
     "gradient",
     "gradient_hat",
     "hessian_quadform",
+    "hessian_weights",
     "small_t_sign_scan",
 ]
 
@@ -126,31 +127,44 @@ def gradient(u, v, f, g, params):
     return Field(u.grid, op.backward(gu)), Field(v.grid, op.backward(gv))
 
 
-def hessian_quadform(u, v, phi, psi, params):
-    """Second variation of the energy evaluated at the pair of Fields (u, v)
-    in the direction of the Iterates (phi, psi) on their grid.
-
-    Equals the squared regime norm of the direction, taken from its half
-    spectra without a transform, minus three coupling integrals with
-    coefficients a(a-1)/p, b(b-1)/p and 2ab/p, whose integrands are the
-    ``coupling_terms`` pair at powers (a-1, b-1), zero off both supports,
-    times v, u and u: two powers serve all three.  Powers at the degenerate
-    set {u <= 0} follow the pow_plus conventions, which for exponents in
-    (1, 2) assumes the base field is positive where the integrand matters.
+def hessian_weights(u, v, params):
+    """The pointwise weights (w_uu, w_uv, w_vv) of the coupling's second
+    variation at the pair of Fields (u, v): a(a-1)/p cu v, ab/p cu u and
+    b(b-1)/p cv u, with (cu, cv) the ``coupling_terms`` pair at powers
+    (a-1, b-1), zero off both supports.  The coupling's second variation in
+    the direction (phi, psi) is the integral of
+    w_uu phi^2 + 2 w_uv phi psi + w_vv psi^2.  Powers at the degenerate set
+    {u <= 0} follow the pow_plus conventions, which for exponents in (1, 2)
+    assumes the base field is positive where the integrand matters.  Each
+    weight is homogeneous of degree p - 2 in (u, v).
     """
     _check(u, v, params)
-    if phi.x.shape != u.grid.shape or psi.x.shape != u.grid.shape:
-        raise ValueError("grid mismatch")
     a, b = params.alpha, params.beta
     p = params.coupling_exponent
+    cu, cv = coupling_terms(u.values, v.values, a - 1.0, b - 1.0)
+    w_uv = cu * u.values
+    w_uv *= a * b / p
+    cu *= v.values
+    cu *= a * (a - 1.0) / p
+    cv *= u.values
+    cv *= b * (b - 1.0) / p
+    return cu, w_uv, cv
+
+
+def hessian_quadform(u, v, phi, psi, params):
+    """Second variation of the energy evaluated at the pair of Fields (u, v)
+    in the direction of the Iterates (phi, psi) on their grid: the squared
+    regime norm of the direction, taken from its half spectra without a
+    transform, minus its pairing with the ``hessian_weights``.
+    """
+    w_uu, w_uv, w_vv = hessian_weights(u, v, params)
+    if phi.x.shape != u.grid.shape or psi.x.shape != u.grid.shape:
+        raise ValueError("grid mismatch")
     op = u.grid.operator(params.s, params.gamma)
     norm_sq = op.quad_hat(phi.xh) + op.quad_hat(psi.xh)
-    vol = u.grid.cell_volume
-    cu, cv = coupling_terms(u.values, v.values, a - 1.0, b - 1.0)
-    t_uu = np.sum(cu * v.values * phi.x**2)
-    t_vv = np.sum(cv * u.values * psi.x**2)
-    t_uv = np.sum(cu * u.values * phi.x * psi.x)
-    coupling = vol / p * (a * (a - 1.0) * t_uu + b * (b - 1.0) * t_vv + 2.0 * a * b * t_uv)
+    coupling = u.grid.cell_volume * (
+        np.sum(w_uu * phi.x**2) + np.sum(w_vv * psi.x**2) + 2.0 * np.sum(w_uv * phi.x * psi.x)
+    )
     if not np.isfinite(coupling):
         raise FloatingPointError("nonfinite coupling integrand in second variation")
     return float(norm_sq - coupling)

@@ -141,8 +141,10 @@ def mode_density(grid, k=1, amplitude=1.0):
     k = int(k)
     if not (1 <= k < grid.points_per_axis // 2):
         raise ValueError("mode number must satisfy 1 <= k < P/2")
-    x1 = grid.coord_mesh[0]
-    return Field(grid, amplitude * (1.0 + np.cos(2.0 * np.pi * k * x1 / grid.box_length)))
+    # the first coordinate, broadcast along the other axes
+    x1 = grid.axis_coords.reshape((-1,) + (1,) * (grid.dimension - 1))
+    mode = amplitude * (1.0 + np.cos(2.0 * np.pi * k * x1 / grid.box_length))
+    return Field(grid, np.broadcast_to(mode, grid.shape))
 
 
 _CONSTRUCTORS = {

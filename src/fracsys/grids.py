@@ -374,6 +374,14 @@ class RegimeOperator:
         """Quadratic form integral(x * Op x) from the half spectrum of x."""
         return self.form(xh, self.symbol, scratch)
 
+    def inner_hat(self, xh, yh):
+        """integral(x * Op y) from the half spectra of x and y, summed over
+        any leading axes the two share, so a stack of fields is one vector."""
+        prod = np.multiply(xh.real, yh.real)
+        prod += np.multiply(xh.imag, yh.imag)
+        prod *= self.symbol
+        return float((prod @ self._herm).sum())
+
     def quad(self, x):
         """Quadratic form integral(x * Op x)."""
         return self.quad_hat(self.forward(x))

@@ -7,6 +7,8 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solve stopped before meeting its tolerance."""
@@ -114,3 +116,53 @@ def descend(point, evaluate, gradient, direction, retract, opts):
             return Descent(point, value, measure, it, False)
         point, value, measure = trial, t_value, t_measure
     return Descent(point, value, measure, opts.max_iter, measure <= opts.tol)
+
+
+class Ritz(NamedTuple):
+    value: float
+    residual: float
+    iterations: int
+
+
+def lanczos_max(apply, inner, start, tol, max_iter):
+    """Largest eigenvalue of a linear map ``apply``, self-adjoint in the
+    inner product ``inner``, by the Lanczos three-term recurrence from the
+    vector ``start``, a numpy array that is normalized in place and becomes
+    the first Lanczos vector; the others are arrays of its shape.
+
+    Each step takes one ``apply`` and extends the tridiagonal matrix T of
+    the Krylov space; its largest eigenvalue theta is the Ritz value, with
+    eigenvector s.  The step's residual beta_k |s_k| is the norm of
+    apply(y) - theta y for the Ritz vector y, so some eigenvalue lies within
+    it of theta (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+    ch. 13).  The loop stops once that residual is at most tol * |theta|,
+    or after max_iter steps, and returns the last Ritz value, residual and
+    step count.  Theta is a Rayleigh quotient, so it never exceeds the
+    largest eigenvalue.
+
+    There is no reorthogonalization: only the last two Lanczos vectors and
+    the new one are held.  Lost orthogonality shows only as copies of
+    converged Ritz values, which leaves the largest one and its residual
+    valid.
+    """
+    q = start
+    q /= math.sqrt(inner(q, q))
+    spare = np.zeros_like(q)  # the previous Lanczos vector, then scratch
+    alphas, betas = [], []
+    beta = 0.0
+    for k in range(1, max_iter + 1):
+        w = apply(q)
+        spare *= beta
+        w -= spare
+        alpha = inner(w, q)
+        w -= np.multiply(alpha, q, out=spare)
+        beta = math.sqrt(max(inner(w, w), 0.0))
+        alphas.append(alpha)
+        betas.append(beta)
+        t = np.diag(alphas) + np.diag(betas[:-1], 1) + np.diag(betas[:-1], -1)
+        thetas, vectors = np.linalg.eigh(t)
+        theta, residual = float(thetas[-1]), beta * abs(float(vectors[-1, -1]))
+        if residual <= tol * abs(theta) or k == max_iter:
+            return Ritz(theta, residual, k)
+        w /= beta
+        spare, q = q, w

@@ -132,3 +132,49 @@ def test_alloc_report_prints_every_phase(tmp_path):
     assert all(float(v) >= 0 for phase in calls for v in rows[phase][1:])
     assert rows["exit"] == ["0"]
     assert (tmp_path / "out" / "u_bar.csv").exists()
+
+
+def test_verify_seed_scan_reports_every_check(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    (tmp_path / "run.cfg").write_text(
+        "dimension = 1\ns = 0.25\nalpha = 1.5\nbeta = 1.5\ngrid_size = 64\nbox_length = 40.0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "verify_seed_scan.py"), "run.cfg", "7000", "3"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert [row.split(":")[0] for row in rows] == [
+        "multiplier_exactness", "gradient_consistency", "hessian_positivity",
+        "ratio_identity", "ratio_measured", "coercivity_sweep", "sign_scan",
+    ]
+    assert all(": 0 of 3 failed; worst at seed 70" in row for row in rows)
+    assert "extremal slack" in rows[2]
+
+
+def test_verify_seed_scan_shows_the_worst_failure(tmp_path, monkeypatch, capsys):
+    from fracsys.verify import CheckResult
+
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        import verify_seed_scan
+    finally:
+        sys.path.remove(str(REPO / "scripts"))
+    errors = {7000: 1e-11, 7001: 2e-8, 7002: 1e-7, 7003: 3e-11}
+
+    def checks(constants, seed):
+        err = errors[seed]
+        return [CheckResult("gradient_consistency", err <= 5e-9, f"max scaled error {err:.3e}"),
+                CheckResult("sign_scan", True, "fixed")]
+
+    monkeypatch.setattr(verify_seed_scan, "run_all_checks", checks)
+    (tmp_path / "run.cfg").write_text("dimension = 1\ngrid_size = 64\nalpha = 1.5\nbeta = 1.5\n")
+    assert verify_seed_scan.main([str(tmp_path / "run.cfg"), "7000", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "gradient_consistency: 2 of 4 failed; worst at seed 7002: max scaled error 1.000e-07",
+        "sign_scan: 0 of 4 failed; worst at seed 7000: fixed",
+    ]

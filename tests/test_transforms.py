@@ -221,18 +221,31 @@ def test_solver_takes_coupling_powers_once_per_trial_point(problem, monkeypatch)
         assert stepped == k and x is trial_points[k - 1]
 
 
-def test_hessian_check_budget(problem, fft_calls):
-    from fracsys.verify import HESSIAN_SAMPLES, check_hessian_positivity
+def test_hessian_check_budget(problem, fft_calls, monkeypatch):
+    import fracsys.verify as verify
 
     grid, params = problem
     constants = measure_constants(grid, params)
+    cold = minimize_quotient(grid, params, mode="vector")
+    runs = []
+
+    def counted_lanczos(*args, _run=verify.lanczos_max, **kwargs):
+        runs.append(_run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(verify, "lanczos_max", counted_lanczos)
     fft_calls.clear()
-    result = check_hessian_positivity(constants, np.random.default_rng(0))
+    result = verify.check_hessian_positivity(constants, np.random.default_rng(0), cold.fields)
     _real_only(fft_calls)
     assert result.passed, result.detail
-    # per sample: four probes go forward and back, and the two base fields
-    # forward for their norm; the directions' norms come from their spectra
-    assert len(fft_calls) <= 10 * HESSIAN_SAMPLES
+    (ritz,) = runs
+    assert 1 < ritz.iterations < verify.LANCZOS_MAX_ITER
+    # per random base: four probes go forward and back, and the two base
+    # fields forward for their norm; the directions' norms come from their
+    # spectra.  The extremal pair goes forward for its norm, the Lanczos
+    # start is two probes, and each Lanczos step takes its two directions
+    # back and their coupling terms forward
+    assert len(fft_calls) == 10 * verify.HESSIAN_SAMPLES + 2 + 4 + 4 * ritz.iterations
 
 
 def test_solve_with_matching_constants_runs_no_descent(problem, fft_calls, tmp_path, monkeypatch):
