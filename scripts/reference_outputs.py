@@ -3,6 +3,7 @@
 
     python scripts/reference_outputs.py run DIR
     python scripts/reference_outputs.py compare A B
+    python scripts/reference_outputs.py digest DIR
 
 The reference configs are L=40, seed 7, Gaussian f and g of widths 2 and
 1.5 scaled to half of d, tol 1e-8, and a 50-pair coercivity sweep (written
@@ -35,15 +36,32 @@ one tree, then compares the values of the shared keys.  A field file
 its text, else the count of moved values and their largest relative
 change.  It exits 0 when every file is identical or values identical,
 else 1.
+
+`digest` prints, as JSON, the numpy version, platform and machine that
+ran it, and per file of the tree its SHA-256, the SHA-256 of its layout
+and its float values.  A field file's SHA-256 is that of its decoded
+float64 values, so a re-encoding of the same doubles keeps it; its layout
+is its size line and its values are the minimum, the maximum, the sum of
+magnitudes and the sum of squares.  Any other file's SHA-256 is that of
+its bytes; its layout is its text with each float token replaced by `#`,
+and its values are those float tokens.  `tests/golden/reference_digests.json`
+holds the digest of a `run` and `tests/test_reference_outputs.py` checks
+the outputs of a fresh `run` against it.  A change that moves reported
+digits on purpose regenerates it:
+
+    python scripts/reference_outputs.py run DIR
+    python scripts/reference_outputs.py digest DIR > tests/golden/reference_digests.json
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 from pathlib import Path
@@ -83,6 +101,7 @@ CONFIGS = {
 }
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+INTEGER = re.compile(r"[-+]?\d+")
 FIELD_HEADER = "dimension,points_per_axis,box_length"
 
 
@@ -175,7 +194,7 @@ def compare_file(a, b):
     for ta, tb in zip(na, nb):
         if ta == tb:
             continue
-        if re.fullmatch(r"[-+]?\d+", ta) and re.fullmatch(r"[-+]?\d+", tb):
+        if INTEGER.fullmatch(ta) and INTEGER.fullmatch(tb):
             changed_ints.append(f"{ta} -> {tb}")
             continue
         x, y = float(ta), float(tb)
@@ -206,6 +225,69 @@ def compare(a, b):
     return 0 if same else 1
 
 
+def environment():
+    """What fixes the last bits of the outputs besides the code."""
+    return {"numpy": np.__version__, "platform": sys.platform, "machine": platform.machine()}
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_file(path):
+    """The SHA-256, layout SHA-256 and float values of one output file."""
+    field = _field(path)
+    if field is not None:
+        sizes, values = field
+        values = values.astype("<f8")
+        summary = [values.min(), values.max(), np.abs(values).sum(), np.square(values).sum()]
+        return {
+            "sha256": _sha256(values.tobytes()),
+            "layout": _sha256(sizes.encode()),
+            "values": [float(x) for x in summary],
+        }
+    text = path.read_text()
+    floats = [t for t in NUMBER.findall(text) if not INTEGER.fullmatch(t)]
+    layout = NUMBER.sub(lambda m: m[0] if INTEGER.fullmatch(m[0]) else "#", text)
+    return {
+        "sha256": _sha256(path.read_bytes()),
+        "layout": _sha256(layout.encode()),
+        "values": [float(t) for t in floats],
+    }
+
+
+def digest(root):
+    root = Path(root)
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {
+        "environment": environment(),
+        "files": {p.relative_to(root).as_posix(): digest_file(p) for p in files},
+    }
+
+
+def moved_files(current, golden, rtol=None, atol=0.0):
+    """One line per file whose digest differs from golden's: exact SHA-256
+    equality, or with rtol the same layout and values within
+    ``|a - b| <= atol + rtol |b|``."""
+    lines = []
+    mine, theirs = current["files"], golden["files"]
+    for name in sorted(mine.keys() | theirs.keys()):
+        if name not in mine or name not in theirs:
+            lines.append(f"{name}: only in {'the run' if name in mine else 'the golden digests'}")
+            continue
+        a, b = mine[name], theirs[name]
+        if rtol is None:
+            if (a["sha256"], a["layout"]) != (b["sha256"], b["layout"]):
+                lines.append(f"{name}: SHA-256 differs")
+        elif a["layout"] != b["layout"] or len(a["values"]) != len(b["values"]):
+            lines.append(f"{name}: layout differs")
+        else:
+            far = ~np.isclose(a["values"], b["values"], rtol=rtol, atol=atol, equal_nan=True)
+            if far.any():
+                lines.append(f"{name}: {far.sum()} of {far.size} values outside the tolerance")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,9 +295,13 @@ def main(argv=None):
     cmp_parser = sub.add_parser("compare")
     cmp_parser.add_argument("a")
     cmp_parser.add_argument("b")
+    sub.add_parser("digest").add_argument("dir")
     args = parser.parse_args(argv)
     if args.command == "run":
         run(args.dir)
+        return 0
+    if args.command == "digest":
+        print(json.dumps(digest(args.dir), indent=1))
         return 0
     return compare(args.a, args.b)
 

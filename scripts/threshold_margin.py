@@ -1,70 +1,59 @@
 #!/usr/bin/env python3
 """Empirical margin of the data-smallness threshold.
 
+    python scripts/threshold_margin.py CONFIG [--bisection-steps 12]
+
 The sufficient threshold d guarantees an interior minimizer but is not
-claimed sharp.  This probe scales the forcing upward by bisection until the
-interior certificate fails (projection active at termination or the ball
-fraction reaches the projection radius), and reports the failure point as a
-multiple of d.  No sharpness claim: just the observed margin on this grid.
+claimed sharp.  This probe scales CONFIG's forcings f and g, both to the
+same multiple of d in place of their fractions of d, upward by bisection
+until the interior certificate fails (projection active at termination or
+the ball fraction reaches the projection radius), and reports the failure
+point as a multiple of d.  No sharpness claim: just the observed margin on
+this grid.
 """
 
 import argparse
+import dataclasses
+import sys
 
-from fracsys import (
-    MinimizeOpts,
-    SystemParams,
-    gaussian_density,
-    make_forcing,
-    make_grid,
-    measure_constants,
-    scale_to_norm,
-    solve_system,
-)
+from fracsys import ConvergenceError, measure_constants, solve_system
+from fracsys.cli import parse_config_file
 
 
-def interior_solve(mult, f0, constants):
-    f = scale_to_norm(f0, mult * constants.threshold)
+def interior_solve(cfg, mult, constants):
+    """Whether the solve with both forcings at mult * d converges with the
+    projection inactive.  A numerical failure, which `fracsys` maps to
+    exit 1, counts as a failed certificate; any other error propagates."""
+    scaled = dataclasses.replace(cfg, f_fraction_of_d=mult, g_fraction_of_d=mult)
+    f, g = scaled.forcings(constants.grid, constants.params, constants)
     try:
-        rep = solve_system(f, f, constants, opts=MinimizeOpts(max_iter=4000))
-    except Exception:
-        return False, None
-    return rep.converged and not rep.boundary_active, rep
+        rep = solve_system(f, g, constants, opts=cfg.opts())
+    except (ConvergenceError, FloatingPointError, ValueError):
+        return False
+    return rep.converged and not rep.boundary_active
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--alpha", type=float, default=2.0)
-    ap.add_argument("--beta", type=float, default=2.0)
-    ap.add_argument("--s", type=float, default=0.25)
-    ap.add_argument("--grid-size", type=int, default=256)
-    ap.add_argument("--box-length", type=float, default=40.0)
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("config", help="KEY = VALUE config file")
     ap.add_argument("--bisection-steps", type=int, default=12)
-    args = ap.parse_args()
-
-    grid = make_grid(1, args.grid_size, args.box_length)
-    params = SystemParams(1, args.s, args.alpha, args.beta, 1)
-    constants = measure_constants(grid, params, opts=MinimizeOpts(tol=1e-10, max_iter=5000))
-    f0 = make_forcing(gaussian_density(grid, width=2.0), params)
+    args = ap.parse_args(argv)
+    cfg = parse_config_file(args.config)
+    constants = measure_constants(cfg.grid(), cfg.params(), opts=cfg.constants_opts())
     print(f"threshold d = {constants.threshold:.6f}, radius r = {constants.radius:.6f}")
 
     lo, hi = 1.0, 2.0
-    ok, rep = interior_solve(lo, f0, constants)
-    if not ok:
+    if not interior_solve(cfg, lo, constants):
         print("interior certificate already fails at d itself (unexpected)")
-        return
-    while True:
-        ok, rep = interior_solve(hi, f0, constants)
-        if not ok:
-            break
-        lo = hi
-        hi *= 2.0
+        return 0
+    while interior_solve(cfg, hi, constants):
+        lo, hi = hi, 2.0 * hi
         if hi > 64:
             print(f"still interior at {lo} * d; stopping the doubling")
-            return
+            return 0
     for _ in range(args.bisection_steps):
         mid = 0.5 * (lo + hi)
-        ok, rep = interior_solve(mid, f0, constants)
-        if ok:
+        if interior_solve(cfg, mid, constants):
             lo = mid
         else:
             hi = mid
@@ -72,7 +61,8 @@ def main():
         f"interior minimizer holds up to ~{lo:.3f} * d and fails by {hi:.3f} * d "
         f"(empirical margin on this grid, no sharpness claim)"
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -143,6 +143,16 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def forcings(self, grid, params, constants):
+        """f and g made forcings for params, each scaled to its fraction of d when positive."""
+        f = make_forcing(self.density("f", grid), params)
+        g = make_forcing(self.density("g", grid), params)
+        if self.f_fraction_of_d > 0:
+            f = scale_to_norm(f, self.f_fraction_of_d * constants.threshold)
+        if self.g_fraction_of_d > 0:
+            g = scale_to_norm(g, self.g_fraction_of_d * constants.threshold)
+        return f, g
+
 
 def _set(cfg, where, key, raw):
     try:
@@ -325,12 +335,7 @@ def cmd_solve(cfg):
     grid = cfg.grid()
     out = _outdir(cfg)
     constants = _constants(cfg, grid, params)
-    f = make_forcing(cfg.density("f", grid), params)
-    g = make_forcing(cfg.density("g", grid), params)
-    if cfg.f_fraction_of_d > 0:
-        f = scale_to_norm(f, cfg.f_fraction_of_d * constants.threshold)
-    if cfg.g_fraction_of_d > 0:
-        g = scale_to_norm(g, cfg.g_fraction_of_d * constants.threshold)
+    f, g = cfg.forcings(grid, params, constants)
     report = solve_system(f, g, constants, opts=cfg.opts())
     save_field(report.u_bar, out / "u_bar.csv")
     save_field(report.v_bar, out / "v_bar.csv")

@@ -435,6 +435,37 @@ class TestSubcommands:
         assert "FAIL" not in out
 
 
+class TestForcings:
+    @pytest.mark.parametrize("name", ["critical-3d", "lab-2d", "sub-1d", "crit-1d"])
+    def test_match_the_solve_sequence_bit_for_bit(self, name):
+        # the sequence cmd_solve ran before ExperimentConfig.forcings took it
+        from fracsys import ConstantsReport, make_forcing, ratio_formula, scale_to_norm
+
+        scripts = str(Path(__file__).resolve().parents[1] / "scripts")
+        sys.path.insert(0, scripts)
+        try:
+            import reference_outputs
+        finally:
+            sys.path.remove(scripts)
+        keys, _ = reference_outputs.CONFIGS[name]
+        cfg = cli.ExperimentConfig()
+        for key, value in {**reference_outputs.COMMON, **keys}.items():
+            cfg.set(key, str(value))
+        params, grid = cfg.params(), cfg.grid()
+        constants = ConstantsReport(2.0, 2.0 * ratio_formula(params.alpha, params.beta),
+                                    grid, params, 0)
+        f = make_forcing(cfg.density("f", grid), params)
+        g = make_forcing(cfg.density("g", grid), params)
+        if cfg.f_fraction_of_d > 0:
+            f = scale_to_norm(f, cfg.f_fraction_of_d * constants.threshold)
+        if cfg.g_fraction_of_d > 0:
+            g = scale_to_norm(g, cfg.g_fraction_of_d * constants.threshold)
+        for new, old in zip(cfg.forcings(grid, params, constants), (f, g)):
+            assert new.density.values.tobytes() == old.density.values.tobytes()
+            assert (new.norm, new.mean_removed, new.s, new.gamma) == (
+                old.norm, old.mean_removed, old.s, old.gamma)
+
+
 class TestDeterminism:
     def test_identical_config_identical_bytes(self, tmp_path):
         out = tmp_path / "r"

@@ -2,7 +2,10 @@
 
 The scripts read ConstantsReport fields and build forcings through the
 public API, so each one is run end to end and must exit 0 with its
-closing line printed.
+closing line printed.  The converted scripts pose their problem from a
+config file; each runs on a config equivalent to its former defaults at a
+small size (gamma=1, f and g Gaussians of width 2, tol 1e-10, the
+constants' former tolerance), on a gamma=0 config and on a 2-D config.
 """
 
 import os
@@ -14,47 +17,91 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
+GAMMA0 = "dimension = 1\ns = 0.25\nalpha = 2\nbeta = 2\ngamma = 0\ngrid_size = 64\nbox_length = 40\n"
+LAB2D = "dimension = 2\ns = 0.5\nalpha = 2.2\nbeta = 1.4\ngrid_size = 32\nbox_length = 40\n"
 
-@pytest.mark.parametrize(
-    "script,args,expect",
-    [
-        ("solve_demo.py", ["--grid-size", "64"], "small-data: monotone=True"),
-        (
-            "threshold_margin.py",
-            ["--grid-size", "64", "--bisection-steps", "3"],
-            "interior minimizer holds up to",
-        ),
-        ("constants_sweep.py", ["--grid-size", "64"], "measured ratio"),
-        ("box_convergence.py", ["--levels", "2", "--base-points", "32"], "P=   64"),
-    ],
-    ids=["solve_demo", "threshold_margin", "constants_sweep", "box_convergence"],
-)
-def test_script_runs(tmp_path, script, args, expect):
+
+def _one_d(alpha, beta, points, length):
+    return (f"dimension = 1\ns = 0.25\nalpha = {alpha}\nbeta = {beta}\ngamma = 1\n"
+            f"grid_size = {points}\nbox_length = {length}\ntol = 1e-10\n")
+
+
+def _run_script(script, args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    if script != "threshold_margin.py":
-        name = "out.csv" if script == "box_convergence.py" else "out"
-        args = [*args, "--output", str(tmp_path / name)]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(REPO / "scripts" / script), *args],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def _import_script(name):
+    sys.path.insert(0, str(REPO / "scripts"))
+    try:
+        return __import__(name)
+    finally:
+        sys.path.remove(str(REPO / "scripts"))
+
+
+DEMO = ["sign_scan.csv", "small_data_curve.csv"]
+MARGIN = ["--bisection-steps", "3"]
+HOLDS = "interior minimizer holds up to"
+BOX = ["box_convergence.csv"]
+
+# (script, config or None, arguments, closing text, files it writes); the
+# cases named by their script alone pose its former defaults
+CASES = {
+    "solve_demo": ("solve_demo.py", _one_d(2.5, 1.5, 64, 40), [], "small-data: monotone=True", DEMO),
+    "solve_demo-gamma0": ("solve_demo.py", GAMMA0, [], "small-data: monotone=True", DEMO),
+    "solve_demo-2d": ("solve_demo.py", LAB2D, [], "small-data: monotone=True", DEMO),
+    "threshold_margin": ("threshold_margin.py", _one_d(2, 2, 64, 40), MARGIN, HOLDS, []),
+    "threshold_margin-gamma0": ("threshold_margin.py", GAMMA0, MARGIN, HOLDS, []),
+    "threshold_margin-2d": ("threshold_margin.py", LAB2D, MARGIN, HOLDS, []),
+    "constants_sweep": ("constants_sweep.py", None, ["--grid-size", "64", "--output", "out"],
+                        "measured ratio", ["sweep_closed_form.csv", "sweep_measured.csv"]),
+    "box_convergence": ("box_convergence.py", _one_d(1.5, 1.5, 32, 20), ["--levels", "2"],
+                        "P=   64", BOX),
+    "box_convergence-gamma0": ("box_convergence.py", GAMMA0, ["--levels", "2"], "P=   64", BOX),
+    "box_convergence-2d": ("box_convergence.py", LAB2D, ["--levels", "2"], "P=   64", BOX),
+}
+
+
+@pytest.mark.parametrize("script,config,args,expect,files", CASES.values(), ids=list(CASES))
+def test_script_runs(tmp_path, script, config, args, expect, files):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config + "output = out\n")
+        args = ["run.cfg", *args]
+    proc = _run_script(script, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+    assert all((tmp_path / "out" / name).is_file() for name in files)
+
+
+def test_threshold_margin_lets_a_non_numerical_error_propagate(tmp_path, monkeypatch, capsys):
+    # only what fracsys maps to a numerical failure counts as a failed
+    # certificate; a defect in the script or library is no margin
+    threshold_margin = _import_script("threshold_margin")
+    (tmp_path / "run.cfg").write_text(_one_d(2, 2, 64, 40))
+
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected keyword")
+
+    monkeypatch.setattr(threshold_margin, "solve_system", broken)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        threshold_margin.main([str(tmp_path / "run.cfg"), "--bisection-steps", "1"])
+
+    def diverges(*args, **kwargs):
+        raise threshold_margin.ConvergenceError("stalled")
+
+    monkeypatch.setattr(threshold_margin, "solve_system", diverges)
+    assert threshold_margin.main([str(tmp_path / "run.cfg")]) == 0
+    assert "interior certificate already fails at d itself" in capsys.readouterr().out
 
 
 def test_reference_outputs_compare(tmp_path, capsys):
-    sys.path.insert(0, str(REPO / "scripts"))
-    try:
-        import reference_outputs
-    finally:
-        sys.path.remove(str(REPO / "scripts"))
+    reference_outputs = _import_script("reference_outputs")
     a, b = tmp_path / "a", tmp_path / "b"
     for root in (a, b):
         (root / "cfg").mkdir(parents=True)
@@ -83,11 +130,7 @@ def test_reference_outputs_compare(tmp_path, capsys):
 def test_reference_outputs_compare_fields(tmp_path, capsys):
     # field files are compared by value: the %.17g and fixed-width layouts
     # of the same doubles match, and a moved value does not
-    sys.path.insert(0, str(REPO / "scripts"))
-    try:
-        import reference_outputs
-    finally:
-        sys.path.remove(str(REPO / "scripts"))
+    reference_outputs = _import_script("reference_outputs")
     head = "dimension,points_per_axis,box_length\n1,16,10\n"
     values = [-0.0, 5e-324, 1e300, -1.0 / 3.0] + [0.1 * k for k in range(12)]
     old = head + "".join(f"{v:.17g}\n" for v in values)
@@ -159,11 +202,7 @@ def test_verify_seed_scan_reports_every_check(tmp_path):
 def test_verify_seed_scan_shows_the_worst_failure(tmp_path, monkeypatch, capsys):
     from fracsys.verify import CheckResult
 
-    sys.path.insert(0, str(REPO / "scripts"))
-    try:
-        import verify_seed_scan
-    finally:
-        sys.path.remove(str(REPO / "scripts"))
+    verify_seed_scan = _import_script("verify_seed_scan")
     errors = {7000: 1e-11, 7001: 2e-8, 7002: 1e-7, 7003: 3e-11}
 
     def checks(constants, seed):
@@ -178,3 +217,23 @@ def test_verify_seed_scan_shows_the_worst_failure(tmp_path, monkeypatch, capsys)
         "gradient_consistency: 2 of 4 failed; worst at seed 7002: max scaled error 1.000e-07",
         "sign_scan: 0 of 4 failed; worst at seed 7000: fixed",
     ]
+
+
+def test_verify_seed_scan_runs_one_vector_descent(tmp_path, monkeypatch, capsys):
+    # the cold vector descent does not depend on the seed: one per scan
+    from fracsys import verify
+
+    verify_seed_scan = _import_script("verify_seed_scan")
+    modes = []
+    descent = verify.minimize_quotient
+
+    def counted(grid, params, mode="scalar", **kwargs):
+        modes.append(mode)
+        return descent(grid, params, mode=mode, **kwargs)
+
+    monkeypatch.setattr(verify, "minimize_quotient", counted)
+    (tmp_path / "run.cfg").write_text("dimension = 1\ngrid_size = 64\nalpha = 1.5\nbeta = 1.5\n")
+    assert verify_seed_scan.main([str(tmp_path / "run.cfg"), "7000", "3"]) == 0
+    assert modes == ["vector"]
+    assert verify.minimize_quotient is counted
+    assert len(capsys.readouterr().out.splitlines()) == 7
