@@ -41,7 +41,7 @@ from .grids import (
     pair_norm,
     pow_plus,
 )
-from .options import ConvergenceError, MinimizeOpts
+from .options import ConfigError, ConvergenceError, MinimizeOpts
 from .profiles import (
     BubbleParams,
     decay_exponent_fit,

@@ -19,7 +19,7 @@ from .constants import ConstantsReport, coercivity_sweep, measure_constants
 from .fieldio import dump_json, fmt, save_field, write_csv
 from .forcing import build_density, make_forcing, scale_to_norm
 from .grids import SystemParams, make_grid, from_powers
-from .options import ConvergenceError, MinimizeOpts
+from .options import ConfigError, ConvergenceError, MinimizeOpts
 from .profiles import (
     BubbleParams,
     decay_exponent_fit,
@@ -33,10 +33,6 @@ from .verify import run_all_checks
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass
@@ -105,18 +101,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"violated invariant alpha > 1 and beta > 1: got alpha={self.alpha}, beta={self.beta}"
             )
-        try:
-            if self.gamma == -1:
-                return from_powers(self.dimension, self.s, self.alpha, self.beta)
-            return SystemParams(self.dimension, self.s, self.alpha, self.beta, self.gamma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.gamma == -1:
+            return from_powers(self.dimension, self.s, self.alpha, self.beta)
+        return SystemParams(self.dimension, self.s, self.alpha, self.beta, self.gamma)
 
     def grid(self):
-        try:
-            return make_grid(self.dimension, self.grid_size, self.box_length)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_grid(self.dimension, self.grid_size, self.box_length)
 
     def opts(self):
         return MinimizeOpts(tol=self.tol, max_iter=self.max_iter)
@@ -136,12 +126,7 @@ class ExperimentConfig:
             kw.update(center=center, radius=getattr(self, f"{which}_radius"))
         elif kind == "mode":
             kw.update(k=getattr(self, f"{which}_mode"))
-        else:
-            raise ConfigError(f"unknown density kind {kind!r}")
-        try:
-            return build_density(grid, kind, **kw)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return build_density(grid, kind, **kw)
 
     def forcings(self, grid, params, constants):
         """f and g made forcings for params, each scaled to its fraction of d when positive."""
@@ -198,7 +183,12 @@ def build_config(args):
 
 def _outdir(cfg):
     out = Path(cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"output = {cfg.output}: cannot create the directory ({exc.strerror})"
+        ) from exc
     return out
 
 
@@ -272,21 +262,10 @@ def cmd_constants(cfg):
 
 def cmd_bubble(cfg):
     params = cfg.params()
-    if params.gamma != 0:
-        raise ConfigError(
-            "bubble requires the critical regime: alpha+beta must equal 2N/(N-2s)"
-        )
     grid = cfg.grid()
-    try:
-        bubble = BubbleParams(
-            lam=cfg.bubble_lambda,
-            center=(0.0,) * grid.dimension,
-            normalization=cfg.bubble_normalization,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bubble: {exc}") from exc
-    out = _outdir(cfg)
+    bubble = BubbleParams(lam=cfg.bubble_lambda, normalization=cfg.bubble_normalization)
     w = talenti_bubble(grid, params, bubble)
+    out = _outdir(cfg)
     save_field(w, out / "bubble.csv")
     decay = decay_exponent_fit(w)
     meta = {
@@ -305,12 +284,10 @@ def cmd_bubble(cfg):
 
 def cmd_ground_state(cfg):
     params = cfg.params()
-    if params.gamma != 1 or params.coupling_exponent >= params.crit_exp - 1e-12:
-        raise ConfigError("ground-state requires the subcritical regime (alpha+beta < 2N/(N-2s))")
     grid = cfg.grid()
-    out = _outdir(cfg)
     opts = MinimizeOpts(tol=min(cfg.tol, 1e-6), max_iter=cfg.max_iter)
     w = subcritical_ground_state(grid, params, opts=opts)
+    out = _outdir(cfg)
     save_field(w, out / "ground_state.csv")
     res = ground_state_residual(w, params)
     decay = decay_exponent_fit(w)

@@ -64,9 +64,9 @@ def _sum_of_product(a, b, scratch=None):
     return np.sum(np.multiply(a, b, out=scratch))
 
 
-def energy_terms(grid, params, u, v, terms, fd=None, gd=None, quads=None, scratch=None):
+def energy_terms(grid, params, u, v, terms, fd, gd, quads=None, scratch=None):
     """Energy of a pair of Iterates with ``terms``, their ``coupling_terms``
-    pair, under forcing densities (fd, gd), raw arrays or None: the kernel
+    pair, under forcing densities (fd, gd), raw arrays: the kernel
     behind ``energy`` and the solver's loop.  The quadratic term comes from
     the half spectra, so it needs no transform; ``quads``, the pair of
     ``quad_hat`` values, spares even that.  The products of the integrals
@@ -77,18 +77,15 @@ def energy_terms(grid, params, u, v, terms, fd=None, gd=None, quads=None, scratc
         quads = (op.quad_hat(u.xh), op.quad_hat(v.xh))
     quad = 0.5 * (quads[0] + quads[1])
     coup = float(cv * _sum_of_product(terms[0], u.x, scratch)) / params.coupling_exponent
-    forc = 0.0
-    if fd is not None:
-        forc += float(cv * _sum_of_product(fd, u.x, scratch))
-    if gd is not None:
-        forc += float(cv * _sum_of_product(gd, v.x, scratch))
+    forc = float(cv * _sum_of_product(fd, u.x, scratch))
+    forc += float(cv * _sum_of_product(gd, v.x, scratch))
     return EnergyBreakdown(quad, coup, forc)
 
 
-def gradient_hat(grid, params, u, v, terms, fh=None, gh=None, out=None, scratch=None, work=None):
+def gradient_hat(grid, params, u, v, terms, fh, gh, out=None, scratch=None, work=None):
     """Half spectra of the gradient densities of a pair of Iterates with
     ``terms`` = (cu, cv) as in ``energy_terms``, under forcing half spectra
-    (fh, gh) or None: the kernel behind ``gradient`` and the solver's loop.
+    (fh, gh): the kernel behind ``gradient`` and the solver's loop.
     Only the coupling terms are transformed.  Component u: (regime
     operator) u - (alpha/p) cu - f; symmetrically for v.
 
@@ -103,26 +100,21 @@ def gradient_hat(grid, params, u, v, terms, fh=None, gh=None, out=None, scratch=
                              (fh, gh), out or (None, None)):
         g = op.multiply(op.symbol, x.xh, out=g)
         g -= op.forward(np.multiply(w, c, out=scratch), out=work)
-        if h is not None:
-            g -= h
+        g -= h
         grads.append(g)
     return tuple(grads)
 
 
 def energy(u, v, f, g, params):
-    """Evaluate the energy of a pair under forcing (f, g).
-
-    f and g may be None for the unforced functional.
-    """
+    """Evaluate the energy of a pair under forcing (f, g)."""
     _, x, y, terms = _lifted(u, v, params)
-    fd, gd = (None if h is None else h.density.values for h in (f, g))
-    return energy_terms(u.grid, params, x, y, terms, fd, gd)
+    return energy_terms(u.grid, params, x, y, terms, f.density.values, g.density.values)
 
 
 def gradient(u, v, f, g, params):
     """First variation as a pair of densities (see ``gradient_hat``)."""
     op, x, y, terms = _lifted(u, v, params)
-    fh, gh = (None if h is None else op.forward(h.density.values) for h in (f, g))
+    fh, gh = (op.forward(h.density.values) for h in (f, g))
     gu, gv = gradient_hat(u.grid, params, x, y, terms, fh, gh)
     return Field(u.grid, op.backward(gu)), Field(v.grid, op.backward(gv))
 
@@ -178,13 +170,10 @@ class SignScanReport:
     energies: tuple
     negative_at_small_positive: bool
     positive_at_small_negative: bool
-    degenerate: bool  # no forcing: the linear-in-t part is absent
 
     @property
     def ok(self):
-        return self.degenerate or (
-            self.negative_at_small_positive and self.positive_at_small_negative
-        )
+        return self.negative_at_small_positive and self.positive_at_small_negative
 
     def rows(self):
         """(t, energy) pairs, ready for the CSV writer."""
@@ -196,20 +185,17 @@ def small_t_sign_scan(u, v, f, g, params, t_values):
 
     With nontrivial nonnegative forcing the energy must dip negative for
     the smallest positive t and stay positive for the negative t of
-    smallest magnitude; without forcing the dichotomy degenerates and is
-    only flagged.
+    smallest magnitude.
     """
     if np.any(u.values < 0) or np.any(v.values < 0):
         raise ValueError("sign scan expects a nonnegative pair")
     ts = sorted(float(t) for t in t_values)
     energies = tuple(energy(t * u, t * v, f, g, params).total for t in ts)
-    degenerate = f is None and g is None
     pos = [t for t in ts if t > 0]
     neg = [t for t in ts if t < 0]
     neg_ok = pos_ok = True
-    if not degenerate:
-        if pos:
-            neg_ok = energies[ts.index(min(pos))] < 0
-        if neg:
-            pos_ok = energies[ts.index(max(neg))] > 0
-    return SignScanReport(tuple(ts), energies, neg_ok, pos_ok, degenerate)
+    if pos:
+        neg_ok = energies[ts.index(min(pos))] < 0
+    if neg:
+        pos_ok = energies[ts.index(max(neg))] > 0
+    return SignScanReport(tuple(ts), energies, neg_ok, pos_ok)

@@ -9,7 +9,6 @@ Riesz representer saturates the duality bound).
 In the gamma=0 regime a density's mean is projected out before anything
 else: on the torus the zero mode pairs with constants, which carry no
 homogeneous seminorm, so a nonzero mean would make the dual norm infinite.
-The removed mean is kept on the record.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field
+from .options import ConfigError, check_square
 
 __all__ = [
     "Functional",
@@ -41,7 +41,6 @@ class Functional:
 
     density: Field
     norm: float
-    mean_removed: float
     s: float
     gamma: int
 
@@ -54,19 +53,17 @@ def make_forcing(density, params):
     """Validate a density and cache its dual norm in the regime of params.
 
     Rejects negative entries and identically-zero densities.  gamma=0
-    projects out the mean first (reported in ``mean_removed``).
+    projects out the mean first.
     """
     vals = density.values
     if np.any(vals < 0):
         raise ValueError("forcing density must be nonnegative")
     if not np.any(vals > 0):
         raise ValueError("forcing density must not be identically zero")
-    mean_removed = 0.0
     if params.gamma == 0:
-        mean_removed = float(vals.mean())
-        density = Field(density.grid, vals - mean_removed)
+        density = Field(density.grid, vals - float(vals.mean()))
     norm = density.grid.operator(params.s, params.gamma).dual_norm(density.values)
-    return Functional(density, norm, mean_removed, params.s, params.gamma)
+    return Functional(density, norm, params.s, params.gamma)
 
 
 def scale_functional(f, factor):
@@ -76,7 +73,6 @@ def scale_functional(f, factor):
     return Functional(
         Field(f.grid, f.density.values * factor),
         f.norm * factor,
-        f.mean_removed * factor,
         f.s,
         f.gamma,
     )
@@ -103,15 +99,16 @@ def riesz_representer(f):
 
 
 # ---------------------------------------------------------------------------
-# built-in density constructors
+# built-in density constructors, which raise ConfigError on bad parameters
 
 
 def gaussian_density(grid, center=None, width=1.0, amplitude=1.0):
     center = np.zeros(grid.dimension) if center is None else np.atleast_1d(center)
     if not grid.contains(center):
-        raise ValueError("center outside the box")
+        raise ConfigError("center outside the box")
     if width <= 0 or amplitude <= 0:
-        raise ValueError("width and amplitude must be positive")
+        raise ConfigError("width and amplitude must be positive")
+    check_square("width", width)
     r = grid.radius_from(center)
     # amplitude * exp(-(r**2) / (2 width^2)), computed in r's storage
     r = np.negative(np.square(r, out=r), out=r)
@@ -122,9 +119,9 @@ def gaussian_density(grid, center=None, width=1.0, amplitude=1.0):
 def indicator_density(grid, center=None, radius=1.0, amplitude=1.0):
     center = np.zeros(grid.dimension) if center is None else np.atleast_1d(center)
     if not grid.contains(center):
-        raise ValueError("center outside the box")
+        raise ConfigError("center outside the box")
     if radius <= 0 or amplitude <= 0:
-        raise ValueError("radius and amplitude must be positive")
+        raise ConfigError("radius and amplitude must be positive")
     r = grid.radius_from(center)
     return Field(grid, amplitude * (r <= radius).astype(float))
 
@@ -137,10 +134,10 @@ def mode_density(grid, k=1, amplitude=1.0):
     first axis.
     """
     if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+        raise ConfigError("amplitude must be positive")
     k = int(k)
     if not (1 <= k < grid.points_per_axis // 2):
-        raise ValueError("mode number must satisfy 1 <= k < P/2")
+        raise ConfigError("mode number must satisfy 1 <= k < P/2")
     # the first coordinate, broadcast along the other axes
     x1 = grid.axis_coords.reshape((-1,) + (1,) * (grid.dimension - 1))
     mode = amplitude * (1.0 + np.cos(2.0 * np.pi * k * x1 / grid.box_length))
@@ -159,7 +156,7 @@ def build_density(grid, kind, **kw):
     try:
         ctor = _CONSTRUCTORS[kind]
     except KeyError:
-        raise ValueError(
+        raise ConfigError(
             f"unknown density kind {kind!r}; choose from {sorted(_CONSTRUCTORS)}"
         ) from None
     return ctor(grid, **kw)

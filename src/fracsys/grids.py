@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .options import ConfigError
+
 __all__ = [
     "Grid",
     "Field",
@@ -135,19 +137,19 @@ class Grid:
 def make_grid(dimension, points_per_axis, box_length):
     """Build a validated grid.
 
-    Rejects dimensions outside {1, 2, 3}, non-power-of-two resolutions
-    below 16, and box lengths that are not positive and finite.
+    Raises ConfigError for dimensions outside {1, 2, 3}, non-power-of-two
+    resolutions below 16, and box lengths that are not positive and finite.
     """
     if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+        raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
     if not isinstance(points_per_axis, (int, np.integer)):
-        raise ValueError("points_per_axis must be an integer")
+        raise ConfigError("points_per_axis must be an integer")
     if points_per_axis < 16 or not _is_power_of_two(int(points_per_axis)):
-        raise ValueError(
+        raise ConfigError(
             f"points_per_axis must be a power of two >= 16, got {points_per_axis}"
         )
     if not 0 < box_length < np.inf:
-        raise ValueError(f"box_length must be positive and finite, got {box_length}")
+        raise ConfigError(f"box_length must be positive and finite, got {box_length}")
     return Grid(int(dimension), int(points_per_axis), float(box_length))
 
 
@@ -169,26 +171,15 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     def __add__(self, other):
-        return Field(self.grid, self.values + _raw(other, self.grid))
+        return Field(_same_grid(self, other), self.values + other.values)
 
     def __sub__(self, other):
-        return Field(self.grid, self.values - _raw(other, self.grid))
+        return Field(_same_grid(self, other), self.values - other.values)
 
     def __mul__(self, scalar):
         return Field(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-
-def _raw(u, grid=None):
-    if isinstance(u, Field):
-        if grid is not None and u.grid != grid:
-            raise ValueError("grid mismatch")
-        return u.values
-    return np.asarray(u, dtype=float)
 
 
 def _same_grid(*fields):
@@ -206,6 +197,7 @@ class SystemParams:
     gamma selects the regime: 0 couples at the critical power
     2N/(N - 2s) and works with the homogeneous seminorm, 1 works with the
     full norm and a coupling power alpha + beta at or below critical.
+    Parameters outside these ranges raise ConfigError.
     """
 
     dimension: int
@@ -216,28 +208,28 @@ class SystemParams:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
+            raise ConfigError("dimension must be >= 1")
         if not (0.0 < self.s <= 1.0):
-            raise ValueError(f"s must lie in (0, 1], got {self.s}")
+            raise ConfigError(f"s must lie in (0, 1], got {self.s}")
         if self.dimension <= 2.0 * self.s:
-            raise ValueError(f"need dimension > 2s, got N={self.dimension}, s={self.s}")
+            raise ConfigError(f"need dimension > 2s, got N={self.dimension}, s={self.s}")
         # the boundary value 1 is admitted for quotient measurements; the
         # config layer enforces the strict inequality the solver needs
         if not (self.alpha >= 1.0 and self.beta >= 1.0):
-            raise ValueError("alpha and beta must both be at least 1")
+            raise ConfigError("alpha and beta must both be at least 1")
         if self.gamma not in (0, 1):
-            raise ValueError("gamma must be 0 or 1")
+            raise ConfigError("gamma must be 0 or 1")
         total = self.alpha + self.beta
         if self.gamma == 0:
             if abs(total - self.crit_exp) > 1e-12:
-                raise ValueError(
+                raise ConfigError(
                     f"gamma=0 requires alpha+beta == {self.crit_exp}, got {total}"
                 )
         else:
             # boundary total == crit_exp is admitted: the full-norm quotients
             # and the ball construction stay well posed there on the box
             if not (2.0 < total <= self.crit_exp + 1e-12):
-                raise ValueError(
+                raise ConfigError(
                     f"gamma=1 requires 2 < alpha+beta <= {self.crit_exp}, got {total}"
                 )
 
@@ -255,7 +247,8 @@ class SystemParams:
 
 def from_powers(dimension, s, alpha, beta):
     """Params with gamma inferred from alpha+beta against the critical exponent."""
-    crit = 2.0 * dimension / (dimension - 2.0 * s)
+    # N <= 2s has no critical exponent, and SystemParams refuses it
+    crit = 2.0 * dimension / (dimension - 2.0 * s) if dimension > 2.0 * s else np.inf
     gamma = 0 if abs(alpha + beta - crit) <= 1e-12 else 1
     return SystemParams(dimension, s, alpha, beta, gamma)
 

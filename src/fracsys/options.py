@@ -1,4 +1,4 @@
-"""Shared iteration options, the descent engine and solver exceptions."""
+"""Shared iteration options, the descent engine and the library's exceptions."""
 
 from __future__ import annotations
 
@@ -8,6 +8,18 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """A problem, grid, density or profile that cannot be posed (exit 2 on the command line)."""
+
+
+def check_square(name, x):
+    """Refuse x unless x**2 is a normal double, which the Gaussian density
+    and the bubble divide by without overflow or division by zero."""
+    x = float(x)
+    if not sys.float_info.min <= x * x <= sys.float_info.max:
+        raise ConfigError(f"{name} squared leaves the double range, got {x}")
 
 
 class ConvergenceError(RuntimeError):

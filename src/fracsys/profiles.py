@@ -10,7 +10,7 @@ import numpy as np
 
 from .constants import minimize_quotient
 from .grids import Field
-from .options import MinimizeOpts
+from .options import ConfigError, MinimizeOpts, check_square
 
 __all__ = [
     "BubbleParams",
@@ -18,46 +18,45 @@ __all__ = [
     "subcritical_ground_state",
     "ground_state_residual",
     "decay_exponent_fit",
-    "DEFAULT_FIT_WINDOW",
 ]
 
 # fraction of the half-box enclosing the tail fit; chosen to sit between
 # the profile core and the periodic wrap (a tunable, not a law)
-DEFAULT_FIT_WINDOW = (0.25, 0.45)
+FIT_WINDOW = (0.25, 0.45)
 
 GROUND_STATE_OPTS = MinimizeOpts(tol=1e-6, max_iter=5000)
 
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Dilation, center and overall amplitude of the critical bubble.
+    """Dilation and overall amplitude of the critical bubble, which is
+    centered at the origin.
 
     The amplitude making the profile an exact solution of the critical
     equation is not pinned here; `normalization` is free and defaults to 1.
+    Values out of range raise ConfigError.
     """
 
     lam: float = 1.0
-    center: tuple = (0.0,)
     normalization: float = 1.0
 
     def __post_init__(self):
         if self.lam <= 0:
-            raise ValueError("lam must be positive")
+            raise ConfigError("bubble: lam must be positive")
+        check_square("bubble: lam", self.lam)
         if self.normalization <= 0:
-            raise ValueError("normalization must be positive")
+            raise ConfigError("bubble: normalization must be positive")
 
 
 def talenti_bubble(grid, params, bubble):
     """Critical-regime extremal profile
-    normalization * (lam / (lam^2 + |x - x0|^2))^((N-2s)/2), sampled on the grid.
+    normalization * (lam / (lam^2 + |x|^2))^((N-2s)/2), sampled on the grid.
+    Other params raise ConfigError.
     """
     if params.gamma != 0:
-        raise ValueError("the bubble profile belongs to the critical regime (gamma=0)")
-    center = np.atleast_1d(np.asarray(bubble.center, dtype=float))
-    if not grid.contains(center):
-        raise ValueError("bubble center outside the box")
+        raise ConfigError("the bubble profile belongs to the critical regime (gamma=0)")
     expo = (params.dimension - 2.0 * params.s) / 2.0
-    r = grid.radius_from(center)
+    r = grid.radius_from(np.zeros(grid.dimension))
     vals = bubble.normalization * (bubble.lam / (bubble.lam**2 + r**2)) ** expo
     return Field(grid, vals)
 
@@ -71,13 +70,14 @@ def subcritical_ground_state(grid, params, opts=GROUND_STATE_OPTS):
     residual is Q^(1/(p-2)) |Op d|, read from the half spectrum d already
     has; the descent's full step there is the normalized inverse iteration
     w <- Op^{-1}(w^(p-1)), which polishes the residual below the value's
-    round-off.
+    round-off.  Params outside the strictly subcritical regime raise
+    ConfigError.
     """
     if params.gamma != 1:
-        raise ValueError("the ground state belongs to the subcritical regime (gamma=1)")
+        raise ConfigError("the ground state belongs to the subcritical regime (gamma=1)")
     p = params.coupling_exponent
     if p >= params.crit_exp - 1e-12:
-        raise ValueError("ground-state solve needs alpha+beta strictly below critical")
+        raise ConfigError("ground-state solve needs alpha+beta strictly below critical")
     op = grid.operator(params.s, params.gamma)
     symbol_sq = op.symbol**2
     halves = op.real_halves(np.empty(op.symbol.shape, complex))  # the hook's own form scratch
@@ -98,20 +98,16 @@ def ground_state_residual(w, params):
     return float(np.sqrt(w.grid.cell_volume * np.sum((lhs - rhs) ** 2)))
 
 
-def decay_exponent_fit(u, window=DEFAULT_FIT_WINDOW, center=None):
+def decay_exponent_fit(u):
     """Tail exponent from a log-log fit of u against the radius.
 
-    Least-squares slope of log(u) versus log|x - center| over radii in
-    [window[0], window[1]] * L/2, negated.  The field must be positive
-    throughout the window.
+    Least-squares slope of log(u) versus log|x| over radii in
+    FIT_WINDOW * L/2, negated.  The field must be positive throughout the
+    window.
     """
     grid = u.grid
-    if center is None:
-        center = np.zeros(grid.dimension)
-    lo, hi = window
-    if not (0.0 < lo < hi <= 1.0):
-        raise ValueError("window fractions must satisfy 0 < lo < hi <= 1")
-    r = grid.radius_from(center)
+    lo, hi = FIT_WINDOW
+    r = grid.radius_from(np.zeros(grid.dimension))
     half = 0.5 * grid.box_length
     sel = (r >= lo * half) & (r <= hi * half)
     if not np.any(sel):

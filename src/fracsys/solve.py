@@ -136,17 +136,15 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
     """
     grid, params = constants.grid, constants.params
     for h in (f, g):
-        if h is not None and (h.grid, h.s, h.gamma) != (grid, params.s, params.gamma):
+        if (h.grid, h.s, h.gamma) != (grid, params.s, params.gamma):
             raise ValueError(f"forcing made on {h.grid} for s={h.s}, gamma={h.gamma} "
                              f"cannot drive a solve on {grid} with {params}")
     r = constants.radius
     d = constants.threshold
-    norm_f = f.norm if f is not None else 0.0
-    norm_g = g.norm if g is not None else 0.0
     warnings = []
-    if max(norm_f, norm_g) > d:
+    if max(f.norm, g.norm) > d:
         warnings.append(
-            f"forcing norm {max(norm_f, norm_g):.6g} exceeds smallness threshold {d:.6g}; "
+            f"forcing norm {max(f.norm, g.norm):.6g} exceeds smallness threshold {d:.6g}; "
             "interior-minimizer certificate not guaranteed"
         )
 
@@ -179,7 +177,7 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
         converged=bool(converged),
         radius=float(r),
         threshold=float(d),
-        forcing_norms=(float(norm_f), float(norm_g)),
+        forcing_norms=(float(f.norm), float(g.norm)),
         boundary_active=bool(boundary_active),
         warnings=tuple(warnings),
         trace=trace,
@@ -191,8 +189,8 @@ def _descend_pair(grid, params, f, g, r, start, opts):
     its point's pair as Fields, and the trace rows of its accepted points.
     The loop's buffers die with this call."""
     op = grid.operator(params.s, params.gamma)
-    fd, gd = (None if h is None else h.density.values for h in (f, g))
-    f_hat, g_hat = (None if h is None else op.forward(h) for h in (fd, gd))
+    fd, gd = f.density.values, g.density.values
+    f_hat, g_hat = op.forward(fd), op.forward(gd)
 
     if start is None:
         pair = [Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
@@ -257,7 +255,7 @@ def residual(u, v, f, g, params):
     mean-zero subspace).
     """
     op = u.grid.operator(params.s, params.gamma)
-    f_hat, g_hat = (None if h is None else op.forward(h.density.values) for h in (f, g))
+    f_hat, g_hat = (op.forward(h.density.values) for h in (f, g))
     scratch = np.empty(u.grid.shape)
     terms = coupling_terms(u.values, v.values, params.alpha, params.beta, scratch=scratch)
     x, y = op.lift(u.values), op.lift(v.values)
@@ -271,7 +269,7 @@ def positivity_check(report):
 
     Returns the minima and the fraction of grid points at or below zero
     for each component; `all_positive` is the conjunction.  Diagnostic
-    only: the zero solution of an unforced run fails it by design.
+    only: a zero pair fails it by design.
     """
     u, v = report.u_bar.values, report.v_bar.values
     return {

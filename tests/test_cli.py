@@ -462,8 +462,33 @@ class TestForcings:
             g = scale_to_norm(g, cfg.g_fraction_of_d * constants.threshold)
         for new, old in zip(cfg.forcings(grid, params, constants), (f, g)):
             assert new.density.values.tobytes() == old.density.values.tobytes()
-            assert (new.norm, new.mean_removed, new.s, new.gamma) == (
-                old.norm, old.mean_removed, old.s, old.gamma)
+            assert (new.norm, new.s, new.gamma) == (old.norm, old.s, old.gamma)
+
+    @pytest.mark.parametrize("f_kind,g_kind", [("indicator", "mode"), ("mode", "indicator")])
+    def test_indicator_and_mode_densities_drive_a_solve(self, tmp_path, f_kind, g_kind):
+        # the *_radius and *_mode keys reach their constructors
+        from fracsys import indicator_density, mode_density
+
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "dimension = 2\ns = 0.5\nalpha = 2.2\nbeta = 1.4\ngrid_size = 64\n"
+            f"box_length = 20\nf_kind = {f_kind}\ng_kind = {g_kind}\n"
+            "f_radius = 2.5\ng_radius = 3.0\nf_mode = 2\ng_mode = 3\n"
+        )
+        cfg = parse_config_file(cfg_file)
+        grid = cfg.grid()
+        expect = {
+            "indicator": lambda which: indicator_density(
+                grid, center=[0.0, 0.0], radius=getattr(cfg, f"{which}_radius")),
+            "mode": lambda which: mode_density(grid, k=getattr(cfg, f"{which}_mode")),
+        }
+        for which, kind in (("f", f_kind), ("g", g_kind)):
+            got = cfg.density(which, grid).values
+            assert got.tobytes() == expect[kind](which).values.tobytes()
+        out = tmp_path / "s"
+        assert run_cli(["solve", "--config", str(cfg_file), "--output", str(out)]) == EXIT_OK
+        report = json.loads((out / "solve_report.json").read_text())
+        assert report["report"]["converged"] is True
 
 
 class TestDeterminism:
@@ -786,6 +811,74 @@ class TestVerifyParameterMatrix:
         assert all(r.passed for r in results), [
             (r.name, r.detail) for r in results if not r.passed
         ]
+
+
+class TestExitContract:
+    """The exit code of every command on a table of edge configs, each one
+    edit of a 1-D config in either regime, run through main in process: no
+    exception leaves main, and a refused config prints ``config error:``."""
+
+    COMMANDS = ("constants", "bubble", "ground-state", "solve", "verify")
+    REGIMES = {"critical": "alpha = 2.0\nbeta = 2.0\n", "subcritical": "alpha = 1.5\nbeta = 1.5\n"}
+    # each profile command refuses the other regime
+    REFUSED = {"critical": "ground-state", "subcritical": "bubble"}
+    ALL = dict.fromkeys(COMMANDS, EXIT_CONFIG)
+    EDITS = {
+        # refused as at the parent commit
+        "s=0": ("s = 0", ALL),
+        "s=1.5": ("s = 1.5", ALL),
+        "dimension=4": ("dimension = 4", ALL),
+        "grid_size=48": ("grid_size = 48", ALL),
+        "box_length=0": ("box_length = 0", ALL),
+        "alpha=1": ("alpha = 1", ALL),
+        "gamma=0-subcritical": ("alpha = 1.5\nbeta = 1.5\ngamma = 0", ALL),
+        "f_kind=weird": ("f_kind = weird", {"solve": EXIT_CONFIG}),
+        "f_mode=32": ("f_kind = mode\nf_mode = 32", {"solve": EXIT_CONFIG}),
+        "f_radius=0": ("f_kind = indicator\nf_radius = 0", {"solve": EXIT_CONFIG}),
+        "f_center=20": ("f_center = 20", {"solve": EXIT_CONFIG}),
+        "bubble_lambda=0": ("bubble_lambda = 0", {"bubble": EXIT_CONFIG}),
+        "no-equals": ("alpha 2.0", ALL),
+        # N = 2s has no critical exponent to infer gamma from
+        "N=2,s=1": ("dimension = 2\ns = 1", ALL),
+        "N=1,s=0.5": ("dimension = 1\ns = 0.5", ALL),
+        # squares outside the double range
+        "f_width=1e300": ("f_width = 1e300", {"solve": EXIT_CONFIG}),
+        "f_width=1e-300": ("f_width = 1e-300", {"solve": EXIT_CONFIG}),
+        "g_width=1e300": ("g_width = 1e300", {"solve": EXIT_CONFIG}),
+        "g_width=1e-300": ("g_width = 1e-300", {"solve": EXIT_CONFIG}),
+        "bubble_lambda=1e300": ("bubble_lambda = 1e300", {"bubble": EXIT_CONFIG}),
+        "bubble_lambda=1e-300": ("bubble_lambda = 1e-300", {"bubble": EXIT_CONFIG}),
+        # an output directory blocked by a regular file
+        "output=file": ("output = {blocker}", ALL),
+        "output=file/sub": ("output = {blocker}/sub", ALL),
+        # numerical failures: one iteration cannot meet a zero tolerance
+        "tol=0,max_iter=1": (
+            "tol = 0\nmax_iter = 1",
+            {"constants": EXIT_NUMERICAL, "ground-state": EXIT_NUMERICAL,
+             "solve": EXIT_NUMERICAL, "verify": EXIT_NUMERICAL},
+        ),
+    }
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_exit_codes(self, tmp_path, capsys, regime, edit):
+        text, codes = self.EDITS[edit]
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        got, want = {}, {}
+        for command in self.COMMANDS:
+            cfg_file = tmp_path / f"{command}.cfg"
+            cfg_file.write_text(
+                f"grid_size = 64\nbox_length = 40\n{self.REGIMES[regime]}"
+                f"output = {tmp_path / command}\n{text.format(blocker=blocker)}\n"
+            )
+            got[command] = main([command, "--config", str(cfg_file)])
+            refused = command == self.REFUSED[regime]
+            want[command] = EXIT_CONFIG if refused else codes.get(command, EXIT_OK)
+            err = capsys.readouterr().err
+            if got[command] == EXIT_CONFIG:
+                assert err.startswith("config error: "), (command, err)
+        assert got == want
 
 
 class TestEntryPoint:

@@ -229,7 +229,7 @@ class TestMinimizeQuotient:
         res = minimize_quotient(grid256, params_crit, mode="scalar")
         u = res.fields[0]
         assert abs(u.values.mean()) <= 1e-12
-        w = talenti_bubble(grid256, params_crit, BubbleParams(lam=1.0, center=(0.0,)))
+        w = talenti_bubble(grid256, params_crit, BubbleParams(lam=1.0))
         shifted = Field(grid256, w.values - w.values.mean())
         assert res.value <= sobolev_quotient(shifted, params_crit) + 1e-12
 

@@ -41,13 +41,13 @@ class TestEnergy:
         assert energy(zero, zero, f, g, params).total == 0.0
 
     def test_nonpositive_pair_kills_coupling(self, setup):
-        grid, params, _, _ = setup
+        grid, params, f, g = setup
         rng = np.random.default_rng(2)
         u = Field(grid, -np.abs(smooth_field(grid, rng).values))
         v = Field(grid, -np.abs(smooth_field(grid, rng).values))
-        bd = energy(u, v, None, None, params)
+        bd = energy(u, v, f, g, params)
         assert bd.coupling == 0.0
-        assert bd.total == pytest.approx(bd.quadratic, rel=1e-15)
+        assert bd.total == pytest.approx(bd.quadratic - bd.forcing, rel=1e-15)
 
     def test_breakdown_identity(self, setup):
         grid, params, f, g = setup
@@ -83,10 +83,11 @@ class TestEnergy:
     def test_critical_regime_uses_seminorm(self):
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 2.0, 2.0, 0)
+        f = make_forcing(gaussian_density(grid, width=2.0), params)
         c = Field(grid, np.full(grid.shape, 2.0))
         zero = Field(grid, np.zeros(grid.shape))
         # constants carry no seminorm, so the quadratic term vanishes
-        assert energy(c, zero, None, None, params).quadratic == pytest.approx(0.0, abs=1e-12)
+        assert energy(c, zero, f, f, params).quadratic == pytest.approx(0.0, abs=1e-12)
 
 
 class TestGradient:
@@ -180,14 +181,6 @@ class TestSignScan:
         assert rep.negative_at_small_positive and rep.positive_at_small_negative
         assert rep.ok
 
-    def test_degenerate_without_forcing(self, setup):
-        grid, params, _, _ = setup
-        bump = Field(grid, gaussian_density(grid, width=2.0).values)
-        rep = small_t_sign_scan(bump, bump, None, None, params, [1e-3, -1e-3])
-        assert rep.degenerate and rep.ok
-        # without the linear forcing part the small-t energies are nonnegative
-        assert all(e >= 0 for e in rep.energies)
-
     def test_rejects_signed_input(self, setup):
         grid, params, f, g = setup
         rng = np.random.default_rng(13)
@@ -232,6 +225,8 @@ class TestFractionalPowers:
         # oracle applicable
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 1.5, 1.5, 1)
+        f = make_forcing(gaussian_density(grid, width=2.0), params)
+        g = make_forcing(gaussian_density(grid, width=1.5, amplitude=0.7), params)
         rng = np.random.default_rng(50)
         worst = 0.0
         for _ in range(5):
@@ -240,7 +235,7 @@ class TestFractionalPowers:
             phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
             q = hessian_quadform(u, v, *lifted(phi, psi), params)
             fd = second_central_diff(
-                lambda t: energy(u + t * phi, v + t * psi, None, None, params).total
+                lambda t: energy(u + t * phi, v + t * psi, f, g, params).total
             )
             worst = max(worst, abs(q - fd) / abs(fd))
         assert worst <= 1e-4
@@ -248,13 +243,15 @@ class TestFractionalPowers:
     def test_gradient_fd_at_asymmetric_fractional_exponents(self):
         grid = make_grid(1, 64, 40.0)
         params = SystemParams(1, 0.25, 2.5, 1.5, 1)
+        f = make_forcing(gaussian_density(grid, width=2.0), params)
+        g = make_forcing(gaussian_density(grid, width=1.5, amplitude=0.7), params)
         rng = np.random.default_rng(51)
         u = Field(grid, np.abs(smooth_field(grid, rng, 0.3).values) + 0.4)
         v = Field(grid, np.abs(smooth_field(grid, rng, 0.3).values) + 0.4)
         phi, psi = smooth_field(grid, rng), smooth_field(grid, rng)
-        gu, gv = gradient(u, v, None, None, params)
+        gu, gv = gradient(u, v, f, g, params)
         pred = l2_inner(gu, phi) + l2_inner(gv, psi)
         fd = central_diff(
-            lambda t: energy(u + t * phi, v + t * psi, None, None, params).total
+            lambda t: energy(u + t * phi, v + t * psi, f, g, params).total
         )
         assert abs(pred - fd) / abs(fd) <= 1e-6

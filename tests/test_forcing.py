@@ -52,14 +52,17 @@ class TestMakeForcing:
 
     def test_mean_projection_reported_critical(self, crit_setup):
         grid, params = crit_setup
-        f = make_forcing(mode_density(grid, k=2, amplitude=3.0), params)
-        assert f.mean_removed == pytest.approx(3.0, rel=1e-12)
+        density = mode_density(grid, k=2, amplitude=3.0)
+        f = make_forcing(density, params)
+        removed = density.values - f.density.values
+        np.testing.assert_allclose(removed, 3.0, rtol=1e-12)
         assert abs(f.density.values.mean()) < 1e-14
 
     def test_no_projection_subcritical(self, sub_setup):
         grid, params = sub_setup
-        f = make_forcing(gaussian_density(grid, width=2.0), params)
-        assert f.mean_removed == 0.0
+        density = gaussian_density(grid, width=2.0)
+        f = make_forcing(density, params)
+        assert f.density.values.tobytes() == density.values.tobytes()
         assert np.all(f.density.values >= 0)
 
     def test_rejects_zero_density(self, sub_setup):

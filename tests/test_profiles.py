@@ -38,7 +38,7 @@ def ground_state_config():
 class TestTalentiBubble:
     def test_value_at_center(self, crit):
         grid = make_grid(1, 64, 40.0)
-        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0, center=(0.0,)))
+        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0))
         i0 = int(np.argmin(np.abs(grid.axis_coords)))
         assert w.values[i0] == pytest.approx(1.0, rel=1e-14)
 
@@ -46,7 +46,7 @@ class TestTalentiBubble:
         # exponent (N - 2s)/2 = 1/4, so the profile at |x - x0| = 1 is 2^(-1/4);
         # box length 64 puts x = 1 exactly on the grid
         grid = make_grid(1, 64, 64.0)
-        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0, center=(0.0,)))
+        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0))
         i1 = int(np.argmin(np.abs(grid.axis_coords - 1.0)))
         assert grid.axis_coords[i1] == 1.0
         assert w.values[i1] == pytest.approx(0.5**0.25, rel=1e-12)
@@ -54,7 +54,7 @@ class TestTalentiBubble:
 
     def test_strictly_positive_and_decreasing(self, crit):
         grid = make_grid(1, 128, 40.0)
-        w = talenti_bubble(grid, crit, BubbleParams(lam=2.0, center=(0.0,)))
+        w = talenti_bubble(grid, crit, BubbleParams(lam=2.0))
         assert np.all(w.values > 0)
         r = grid.radius_from([0.0])
         order = np.argsort(r)
@@ -65,14 +65,9 @@ class TestTalentiBubble:
         # at N = 3, s = 1/2 the exponent is 1, so doubling lam halves the peak
         params = SystemParams(3, 0.5, 1.5, 1.5, 0)
         grid = make_grid(3, 16, 20.0)
-        w1 = talenti_bubble(grid, params, BubbleParams(lam=1.0, center=(0.0, 0.0, 0.0)))
-        w2 = talenti_bubble(grid, params, BubbleParams(lam=2.0, center=(0.0, 0.0, 0.0)))
+        w1 = talenti_bubble(grid, params, BubbleParams(lam=1.0))
+        w2 = talenti_bubble(grid, params, BubbleParams(lam=2.0))
         assert w2.values.max() / w1.values.max() == pytest.approx(0.5, rel=1e-12)
-
-    def test_center_outside_box_rejected(self, crit):
-        grid = make_grid(1, 64, 40.0)
-        with pytest.raises(ValueError):
-            talenti_bubble(grid, crit, BubbleParams(lam=1.0, center=(30.0,)))
 
     def test_subcritical_params_rejected(self):
         grid = make_grid(1, 64, 40.0)
@@ -84,7 +79,7 @@ class TestTalentiBubble:
         # the extremal profile has the smallest quotient among all sampled
         # positive candidates
         grid = make_grid(1, 256, 40.0)
-        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0, center=(0.0,)))
+        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0))
         q_bubble = sobolev_quotient(w, crit)
         rng = np.random.default_rng(21)
         for _ in range(10):
@@ -156,7 +151,7 @@ class TestDecayExponentFit:
     def test_bubble_tail_exponent(self, crit):
         # the critical profile decays like |x|^(-(N-2s)) = |x|^(-1/2)
         grid = make_grid(1, 512, 200.0)
-        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0, center=(0.0,)))
+        w = talenti_bubble(grid, crit, BubbleParams(lam=1.0))
         fit = decay_exponent_fit(w)
         assert abs(fit - 0.5) / 0.5 <= 0.05
 
@@ -166,12 +161,6 @@ class TestDecayExponentFit:
         vals[grid.radius_from([0.0]) > 8.0] = 0.0
         with pytest.raises(ValueError):
             decay_exponent_fit(Field(grid, vals))
-
-    def test_rejects_bad_window(self):
-        grid = make_grid(1, 128, 40.0)
-        u = Field(grid, np.ones(grid.shape))
-        with pytest.raises(ValueError):
-            decay_exponent_fit(u, window=(0.5, 0.3))
 
 
 class TestGroundState:

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracsys import (
+    ConvergenceError,
     Field,
     MinimizeOpts,
     SystemParams,
@@ -43,20 +46,18 @@ def solved(setup):
 
 
 class TestSolveSystem:
-    def test_zero_forcing_zero_solution(self, setup):
-        grid, params, constants, _ = setup
-        report = solve_system(None, None, constants)
-        assert report.converged
-        assert report.iterations == 0
-        assert report.energy == 0.0
-        assert np.all(report.u_bar.values == 0)
-
     def test_converges_with_negative_energy(self, solved):
         *_, report = solved
         assert report.converged
         assert report.grad_norm <= 1e-8
         assert report.energy < 0
         assert report.ball_fraction < 1
+
+    def test_interior_iterate_out_of_iterations_raises(self, setup):
+        grid, params, constants, f = setup
+        with pytest.raises(ConvergenceError, match=r"gradient norm \S+ above tolerance "
+                           r"1\.000e-08 after 1 iterations"):
+            solve_system(f, f, constants, opts=MinimizeOpts(max_iter=1))
 
     def test_symmetric_data_symmetric_solution(self, solved):
         *_, report = solved
@@ -149,10 +150,20 @@ class TestSolveSystem:
 
 
 class TestResidual:
-    def test_zero_everything(self, setup):
-        grid, params, *_ = setup
+    def test_zero_everything(self):
+        # at the zero pair the gradient is minus the densities, less the
+        # mean the gamma=0 problem cannot control
+        grid = make_grid(1, 64, 40.0)
         zero = Field(grid, np.zeros(grid.shape))
-        assert residual(zero, zero, None, None, params) == 0.0
+        for gamma in (0, 1):
+            params = SystemParams(1, 0.25, 2.0, 2.0, gamma)
+            f = make_forcing(gaussian_density(grid, width=2.0), params)
+            g = make_forcing(gaussian_density(grid, width=1.5, amplitude=0.7), params)
+            fd, gd = (h.density.values for h in (f, g))
+            if gamma == 0:
+                fd, gd = fd - fd.mean(), gd - gd.mean()
+            expect = np.hypot(lp_norm(Field(grid, fd), 2), lp_norm(Field(grid, gd), 2))
+            assert residual(zero, zero, f, g, params) == pytest.approx(expect, rel=1e-12)
 
     def test_converged_solution_residual(self, solved):
         grid, params, constants, f, report = solved
@@ -168,10 +179,10 @@ class TestResidual:
 
 
 class TestPositivityCheck:
-    def test_zero_solution_flagged(self, setup):
-        grid, params, constants, _ = setup
-        report = solve_system(None, None, constants)
-        diag = positivity_check(report)
+    def test_zero_solution_flagged(self, solved):
+        grid, *_, report = solved
+        zero = Field(grid, np.zeros(grid.shape))
+        diag = positivity_check(dataclasses.replace(report, u_bar=zero, v_bar=zero))
         assert not diag["all_positive"]
         assert diag["nonpositive_fraction_u"] == 1.0
 
@@ -344,7 +355,7 @@ class TestForcingProvenance:
         critical = SystemParams(1, 0.25, 2.0, 2.0, 0)
         constants = measure_constants(grid, critical)
         f = make_forcing(gaussian_density(grid, width=2.0), full)
-        assert f.mean_removed == 0.0 and f.density.values.mean() > 0.1
+        assert f.density.values.mean() > 0.1
         with pytest.raises(ValueError, match="forcing made on"):
             solve_system(f, f, constants)
         fc = make_forcing(gaussian_density(grid, width=2.0), critical)
@@ -356,8 +367,9 @@ class TestForcingProvenance:
         params = SystemParams(1, 0.25, 1.5, 1.5, 1)
         constants = measure_constants(grid, params)
         f = make_forcing(gaussian_density(grid, width=2.0), SystemParams(1, 0.35, 1.5, 1.5, 1))
+        g = make_forcing(gaussian_density(grid, width=2.0), params)
         with pytest.raises(ValueError, match="forcing made on"):
-            solve_system(f, None, constants)
+            solve_system(f, g, constants)
         with pytest.raises(ValueError, match="forcing made on"):
             neumann_series_sanity([1e-2, 1e-3], f, f, constants)
 
