@@ -392,7 +392,7 @@ def main(argv=None):
         args = make_parser().parse_args(argv)
         cfg = build_config(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, FloatingPointError, ValueError) as exc:

@@ -15,8 +15,8 @@ The quotients use the regime norm in the numerator in both regimes: the
 homogeneous seminorm at gamma=0 and the full norm at gamma=1.  On the
 torus a seminorm-only subcritical quotient would vanish on constants, and
 the full-norm choice is the one whose minimizer solves the ground-state
-equation the rest of the lab relies on.  At gamma=0 the minimization runs
-in the mean-zero subspace for the same reason.
+equation the rest of the lab relies on.  At gamma=0 the operator's
+projection keeps the minimization mean-zero for the same reason.
 """
 
 from __future__ import annotations
@@ -178,14 +178,11 @@ class QuotientResult:
 
 
 def _default_seed_field(grid):
-    # on a box near the float range the squared radius overflows to inf,
-    # and exp(-inf) = 0 is the seed's intended value there
-    with np.errstate(over="ignore"):
-        r = grid.radius_from(np.zeros(grid.dimension))
-        # exp(-(r**2) / 4.0), computed in r's storage
-        r = np.negative(np.square(r, out=r), out=r)
-        r /= 4.0
-        return np.exp(r, out=r)
+    r = grid.radius_from(np.zeros(grid.dimension))
+    # exp(-(r**2) / 4.0), computed in r's storage
+    r = np.negative(np.square(r, out=r), out=r)
+    r /= 4.0
+    return np.exp(r, out=r)
 
 
 def _relative_gap(q, ds, slope):
@@ -199,8 +196,8 @@ def minimize_quotient(grid, params, mode="scalar", opts=QUOTIENT_OPTS, measure=_
     Normalization-constrained descent (``descend``) preconditioned by the
     regime operator, stopped once ``measure(Q, d, slope)`` is at most
     opts.tol, else ConvergenceError; a quotient value that is not positive
-    (one that underflows) raises ValueError.  At gamma=0 iterates live in
-    the mean-zero subspace.  Returns the extremizer field(s) and the value.
+    (one that underflows) raises ValueError.  The operator's ``project``
+    keeps gamma=0 iterates mean-zero.  Returns the extremizer(s) and value.
 
     The direction is half the preconditioned gradient at a normalized x,
     d = x - Q w Op^{-1} N(x), with N the derivative terms of the
@@ -260,9 +257,8 @@ def _descend_quotient(grid, params, mode, opts, measure):
     def renorm(xs):
         # the point on the constraint integral(N(x) x) = 1 through xs, its
         # terms N taken at xs: the rescaling by t multiplies them by t^(p-1)
-        if params.gamma == 0:
-            for x in xs:
-                x.center()
+        for x in xs:
+            op.project(*x)
         terms = nonlinear(*(x.x for x in xs))
         c = vol * np.vdot(terms[0], xs[0].x)
         if not c > 0:

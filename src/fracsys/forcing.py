@@ -6,13 +6,14 @@ weight |xi|^(-2s) off the zero mode at gamma=0, weight 1/(1 + |xi|^(2s)) at
 gamma=1 (the exact dual of the inner product the solver descends in, so the
 Riesz representer saturates the duality bound).
 
-In the gamma=0 regime a density's mean is projected out before anything
-else: on the torus the zero mode pairs with constants, which carry no
+The regime operator first projects a density: at gamma=0 its mean goes,
+since on the torus the zero mode pairs with constants, which carry no
 homogeneous seminorm, so a nonzero mean would make the dual norm infinite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ __all__ = [
 @dataclass(frozen=True)
 class Functional:
     """A forcing for the order s and regime gamma it was made for: its density
-    (the nonnegative input, less its mean at gamma=0, so signed there) and
-    the density's dual norm in that regime."""
+    (the nonnegative input as the regime operator projects it, so signed at
+    gamma=0) and the density's dual norm in that regime."""
 
     density: Field
     norm: float
@@ -52,18 +53,17 @@ class Functional:
 def make_forcing(density, params):
     """Validate a density and cache its dual norm in the regime of params.
 
-    Rejects negative entries and identically-zero densities.  gamma=0
-    projects out the mean first.
+    Rejects negative entries and identically-zero densities, then projects
+    the density with the regime operator (at gamma=0 its mean leaves).
     """
     vals = density.values
     if np.any(vals < 0):
         raise ValueError("forcing density must be nonnegative")
     if not np.any(vals > 0):
         raise ValueError("forcing density must not be identically zero")
-    if params.gamma == 0:
-        density = Field(density.grid, vals - float(vals.mean()))
-    norm = density.grid.operator(params.s, params.gamma).dual_norm(density.values)
-    return Functional(density, norm, params.s, params.gamma)
+    op = density.grid.operator(params.s, params.gamma)
+    density = Field(density.grid, *op.project(vals.copy()))
+    return Functional(density, op.dual_norm(density.values), params.s, params.gamma)
 
 
 def scale_functional(f, factor):
@@ -109,6 +109,12 @@ def gaussian_density(grid, center=None, width=1.0, amplitude=1.0):
     if width <= 0 or amplitude <= 0:
         raise ConfigError("width and amplitude must be positive")
     check_square("width", width)
+    # the largest squared distance from the center to a grid point, in
+    # Python floats, which overflow to inf without a warning
+    lo, hi = float(grid.axis_coords[0]), float(grid.axis_coords[-1])
+    far = sum(d * d for d in (max(c - lo, hi - c) for c in map(float, center)))
+    if not far / (2.0 * width * width) <= sys.float_info.max:
+        raise ConfigError(f"width {width} too small for the box: r^2 / (2 width^2) overflows")
     r = grid.radius_from(center)
     # amplitude * exp(-(r**2) / (2 width^2)), computed in r's storage
     r = np.negative(np.square(r, out=r), out=r)

@@ -9,6 +9,8 @@ Parseval identities hold to round-off.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -138,7 +140,10 @@ def make_grid(dimension, points_per_axis, box_length):
     """Build a validated grid.
 
     Raises ConfigError for dimensions outside {1, 2, 3}, non-power-of-two
-    resolutions below 16, and box lengths that are not positive and finite.
+    resolutions below 16, and box lengths that are not positive and finite
+    or for which the spacing h = L/P, the cell volume h^N, the largest
+    squared frequency N(pi P/L)^2 or the largest squared radius N(L/2)^2
+    leaves the normal double range.
     """
     if dimension not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {dimension}")
@@ -150,6 +155,15 @@ def make_grid(dimension, points_per_axis, box_length):
         )
     if not 0 < box_length < np.inf:
         raise ConfigError(f"box_length must be positive and finite, got {box_length}")
+    # in Python floats a product or quotient overflows to inf and underflows
+    # to 0, without a warning
+    L = float(box_length)
+    h, k, r = L / points_per_axis, np.pi * points_per_axis / L, 0.5 * L
+    for name, x in (("spacing", h), ("cell volume", math.prod((h,) * dimension)),
+                    ("largest squared frequency", dimension * k * k),
+                    ("largest squared radius", dimension * r * r)):
+        if not sys.float_info.min <= x <= sys.float_info.max:
+            raise ConfigError(f"box_length = {box_length}: the {name} leaves the normal double range")
     return Grid(int(dimension), int(points_per_axis), float(box_length))
 
 
@@ -264,8 +278,8 @@ class RegimeOperator:
     A real field's spectrum is Hermitian, so the operator works on the
     rfftn half spectrum: every axis but the last keeps all P frequencies,
     the last keeps 0..P/2.  The symbol and the inverse live on that half
-    lattice, zero mode first, and are read-only; the inverse is zero on the
-    gamma=0 zero mode, so ``solve`` returns the mean-zero solution there.
+    lattice, zero mode first, and are read-only.  At gamma=0 both vanish on
+    the zero mode, the constants, which ``project`` takes out of arrays.
     ``apply``, ``solve``, ``quad`` and ``dual_norm`` take raw arrays on the
     grid's shape; ``lift``, ``forward``, ``backward``, ``form``, ``quad_hat``
     and ``norm_hat`` let a loop keep its iterates as half spectra too.
@@ -289,6 +303,7 @@ class RegimeOperator:
         symbol.flags.writeable = False
         inverse.flags.writeable = False
         self.symbol, self.inverse = symbol, inverse
+        self._null = not symbol.flat[0] > 0
         self.shape = grid.shape
         # the leading axes, last first: ifftn takes them from the back, so it
         # transforms axis 0 first, as irfftn does
@@ -324,6 +339,19 @@ class RegimeOperator:
         scratch = out if scratch is None else scratch
         scratch[...] = multiplier
         return np.multiply(scratch, xh, out=out)
+
+    def project(self, *arrays):
+        """Project real arrays and half spectra in place onto the space the
+        problem is posed in: where the symbol vanishes (gamma=0) the mean
+        leaves a real array and the zero mode a half spectrum, else nothing
+        changes."""
+        if self._null:
+            for a in arrays:
+                if np.iscomplexobj(a):
+                    a.flat[0] = 0.0
+                else:
+                    a -= a.mean()
+        return arrays
 
     def lift(self, x):
         """The Iterate of a real array on the grid."""
@@ -393,11 +421,12 @@ class Iterate(NamedTuple):
     """A real field held in both spaces: raw values ``x`` and their rfftn
     half spectrum ``xh``.
 
-    The descent loops move, rescale and center their iterates only by
+    The descent loops move, rescale and project their iterates only by
     linear maps, which act on both members alike, so an iterate needs a
     transform only where it is built from values alone.  ``step`` makes a
-    trial in storage the loop owns; ``scale`` and ``center`` change one in
-    place, so a loop renormalizes a fresh trial without copying it.
+    trial in storage the loop owns; ``scale`` and the operator's
+    ``project(*iterate)`` change one in place, so a loop renormalizes a
+    fresh trial without copying it.
     """
 
     x: np.ndarray
@@ -420,14 +449,6 @@ class Iterate(NamedTuple):
         x, xh = self
         x *= c
         xh *= c
-        return self
-
-    def center(self):
-        """Mean projection in place: the mean leaves x and the zero mode
-        leaves xh."""
-        x, xh = self
-        x -= x.mean()
-        xh.flat[0] = 0.0
         return self
 
 

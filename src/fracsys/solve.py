@@ -70,16 +70,6 @@ class SolveReport:
         }
 
 
-def _gradient(grid, params, u, v, terms, fh, gh, **buffers):
-    """Half spectra of the gradient densities at the Iterates (u, v) and their
-    coupling terms, less the zero mode at gamma=0 (the mean-zero problem
-    cannot control it); ``buffers`` as for ``gradient_hat``."""
-    gu, gv = gradient_hat(grid, params, u, v, terms, fh, gh, **buffers)
-    if params.gamma == 0:
-        gu.flat[0] = gv.flat[0] = 0.0
-    return gu, gv
-
-
 def _grad_l2(op, grad, scratch=None):
     """Termination norm: the L2 norm of the gradient densities, from their
     half spectra (discrete Parseval)."""
@@ -196,10 +186,10 @@ def _descend_pair(grid, params, f, g, r, start, opts):
         pair = [Iterate(np.zeros(grid.shape), np.zeros(op.symbol.shape, dtype=complex))
                 for _ in range(2)]
     else:
-        # a copy, centered at gamma=0 where the problem is posed mean-zero
+        # a copy, projected onto the space the problem is posed in
         pair = [op.lift(w.values.copy()) for w in start]
-        if params.gamma == 0:
-            pair = [x.center() for x in pair]
+        for x in pair:
+            op.project(*x)
     generations = (pair, [x.empty_like() for x in pair])
     terms_out = (np.empty(grid.shape), np.empty(grid.shape))
     grads = (np.empty_like(pair[0].xh), np.empty_like(pair[0].xh))
@@ -219,8 +209,10 @@ def _descend_pair(grid, params, f, g, r, start, opts):
 
     def gradient(point, E, terms):
         u, v, _, quads = point
-        grad = _gradient(grid, params, u, v, terms, f_hat, g_hat,
-                         out=grads, scratch=steps[0], work=work)
+        # less the zero mode at gamma=0, which the mean-zero problem
+        # cannot control
+        grad = op.project(*gradient_hat(grid, params, u, v, terms, f_hat, g_hat,
+                                        out=grads, scratch=steps[0], work=work))
         gn = _grad_l2(op, grad, halves)
         rows.append((E, gn, _norm(quads) / r))
         return grad, gn
@@ -250,9 +242,9 @@ def _descend_pair(grid, params, f, g, r, start, opts):
 def residual(u, v, f, g, params):
     """L2 norm of the pair of strong-form equation residuals.
 
-    This is the L2 norm of the energy gradient densities; at gamma=0 the
-    zero mode is projected out (the torus problem is solvable only in the
-    mean-zero subspace).
+    This is the L2 norm of the energy gradient densities after the regime
+    operator's projection, which at gamma=0 takes out the zero mode (the
+    torus problem is solvable only in the mean-zero subspace).
     """
     op = u.grid.operator(params.s, params.gamma)
     f_hat, g_hat = (op.forward(h.density.values) for h in (f, g))
@@ -260,7 +252,8 @@ def residual(u, v, f, g, params):
     terms = coupling_terms(u.values, v.values, params.alpha, params.beta, scratch=scratch)
     x, y = op.lift(u.values), op.lift(v.values)
     work = np.empty_like(x.xh)
-    grad = _gradient(u.grid, params, x, y, terms, f_hat, g_hat, scratch=scratch, work=work)
+    grad = op.project(*gradient_hat(u.grid, params, x, y, terms, f_hat, g_hat,
+                                    scratch=scratch, work=work))
     return _grad_l2(op, grad, op.real_halves(work))
 
 

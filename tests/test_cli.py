@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -343,13 +344,15 @@ class TestSubcommands:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_underflowing_quotient_is_numerical_failure(self, tmp_path, capsys):
-        # on a box this long the regime form underflows to a zero quotient
+    def test_box_whose_quotient_underflowed_is_refused(self, tmp_path, capsys):
+        # on a box this long the regime form would underflow to a zero
+        # quotient; make_grid refuses it, since its squared radius overflows
         code = run_cli(["constants", "--grid-size", "64", "--box-length", "1e308",
                         "--output", str(tmp_path / "c")])
-        assert code == EXIT_NUMERICAL
+        assert code == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("numerical failure"), err
+        assert len(err) == 1 and err[0].startswith("config error: box_length = 1e+308"), err
+        assert not (tmp_path / "c").exists()
 
     def test_constants_rejects_power_at_one(self, tmp_path, capsys):
         code = run_cli(
@@ -851,6 +854,16 @@ class TestExitContract:
         # an output directory blocked by a regular file
         "output=file": ("output = {blocker}", ALL),
         "output=file/sub": ("output = {blocker}/sub", ALL),
+        # box lengths whose spacing, squared frequency or squared radius
+        # leaves the normal double range
+        "box_length=5e-324": ("box_length = 5e-324", ALL),
+        "box_length=1e-300": ("box_length = 1e-300", ALL),
+        "box_length=1e-160": ("box_length = 1e-160", ALL),
+        "box_length=1e155": ("box_length = 1e155", ALL),
+        "box_length=1e300": ("box_length = 1e300", ALL),
+        # widths whose r^2 / (2 w^2) overflows though their square is normal
+        "f_width=2e-154": ("f_width = 2e-154", {"solve": EXIT_CONFIG}),
+        "g_width=2e-154": ("g_width = 2e-154", {"solve": EXIT_CONFIG}),
         # numerical failures: one iteration cannot meet a zero tolerance
         "tol=0,max_iter=1": (
             "tol = 0\nmax_iter = 1",
@@ -858,6 +871,20 @@ class TestExitContract:
              "solve": EXIT_NUMERICAL, "verify": EXIT_NUMERICAL},
         ),
     }
+
+    # the first report file each command writes
+    FIRST_REPORT = {
+        "constants": "constants.json", "bubble": "bubble.csv",
+        "ground-state": "ground_state.csv", "solve": "u_bar.csv", "verify": "verify.csv",
+    }
+
+    def _run(self, tmp_path, regime, command, text):
+        cfg_file = tmp_path / f"{command}.cfg"
+        cfg_file.write_text(
+            f"grid_size = 64\nbox_length = 40\n{self.REGIMES[regime]}"
+            f"output = {tmp_path / command}\n{text}\n"
+        )
+        return main([command, "--config", str(cfg_file)])
 
     @pytest.mark.parametrize("edit", list(EDITS))
     @pytest.mark.parametrize("regime", list(REGIMES))
@@ -867,18 +894,36 @@ class TestExitContract:
         blocker.write_text("a regular file\n")
         got, want = {}, {}
         for command in self.COMMANDS:
-            cfg_file = tmp_path / f"{command}.cfg"
-            cfg_file.write_text(
-                f"grid_size = 64\nbox_length = 40\n{self.REGIMES[regime]}"
-                f"output = {tmp_path / command}\n{text.format(blocker=blocker)}\n"
-            )
-            got[command] = main([command, "--config", str(cfg_file)])
+            got[command] = self._run(tmp_path, regime, command, text.format(blocker=blocker))
             refused = command == self.REFUSED[regime]
             want[command] = EXIT_CONFIG if refused else codes.get(command, EXIT_OK)
             err = capsys.readouterr().err
             if got[command] == EXIT_CONFIG:
                 assert err.startswith("config error: "), (command, err)
         assert got == want
+
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_report_path_a_directory(self, tmp_path, capsys, regime):
+        # a report that cannot be written is refused with the file's name
+        for command, name in self.FIRST_REPORT.items():
+            (tmp_path / command / name).mkdir(parents=True)
+            assert self._run(tmp_path, regime, command, "") == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: "), (command, err)
+            if command != self.REFUSED[regime]:
+                assert name in err, (command, err)
+
+    @pytest.mark.parametrize("length", ["1e-150", "1e153"])
+    @pytest.mark.parametrize("regime", list(REGIMES))
+    def test_extreme_admitted_box(self, tmp_path, capsys, regime, length):
+        # the smallest and largest boxes of the table are posed: every
+        # command succeeds or fails numerically, and none warns
+        for command in self.COMMANDS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = self._run(tmp_path, regime, command, f"box_length = {length}")
+            want = (EXIT_CONFIG,) if command == self.REFUSED[regime] else (EXIT_OK, EXIT_NUMERICAL)
+            assert code in want and caught == [], (command, code, capsys.readouterr().err)
 
 
 class TestEntryPoint:

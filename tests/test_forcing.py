@@ -16,6 +16,7 @@ from fracsys import (
     scale_functional,
     scale_to_norm,
 )
+from fracsys.options import ConfigError
 from conftest import regime_norm, smooth_field
 
 
@@ -171,6 +172,16 @@ class TestConstructors:
         grid, _ = sub_setup
         with pytest.raises(ValueError):
             gaussian_density(grid, center=[25.0], width=1.0)
+
+    def test_width_whose_exponent_overflows_rejected(self, sub_setup):
+        # the farthest grid point lies 20 from the origin and 30 from 10, so
+        # r^2 / (2 w^2) overflows below w = 1.0548e-153 and 1.582e-153
+        grid, _ = sub_setup
+        for center, below, above in ((0.0, 1.05e-153, 1.06e-153), (10.0, 1.58e-153, 1.59e-153)):
+            with pytest.raises(ConfigError, match="overflows"):
+                gaussian_density(grid, center=[center], width=below)
+            d = gaussian_density(grid, center=[center], width=above)
+            assert d.values.max() == 1.0 and np.count_nonzero(d.values) == 1
 
     def test_mode_range_validated(self, sub_setup):
         grid, _ = sub_setup

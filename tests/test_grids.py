@@ -14,6 +14,7 @@ from fracsys import (
     pow_plus,
 )
 from fracsys.grids import coupling_terms
+from fracsys.options import ConfigError
 from conftest import low_mode_field, regime_norm, smooth_field
 from oracles import gagliardo_seminorm_sq_1d, pv_frac_laplacian_1d
 
@@ -52,6 +53,27 @@ class TestMakeGrid:
         # an infinite box would give NaN coordinates
         with pytest.raises(ValueError, match="finite"):
             make_grid(1, 64, length)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "length,quantity",
+        [(5e-324, "spacing"), (1e-300, "frequency"), (1e-160, "frequency"),
+         (1e155, "radius"), (1e160, "frequency"), (1e300, "frequency")],
+    )
+    def test_rejects_lengths_outside_the_double_range(self, dim, length, quantity):
+        # in 2-D and 3-D the cell volume may leave the range first
+        with pytest.raises(ConfigError, match="normal double range") as info:
+            make_grid(dim, 64, length)
+        assert dim > 1 or quantity in str(info.value)
+
+    @pytest.mark.parametrize("length", [1e-150, 1e153])
+    def test_cell_volume_in_range(self, length):
+        # admitted in 1-D and 2-D; in 3-D the cell volume (L/64)^3 leaves
+        # the double range
+        for dim in (1, 2):
+            assert 0 < make_grid(dim, 64, length).cell_volume < np.inf
+        with pytest.raises(ConfigError, match="cell volume"):
+            make_grid(3, 64, length)
 
     def test_frequency_lattice_symmetric_except_nyquist(self):
         g = make_grid(1, 32, 5.0)
@@ -212,6 +234,33 @@ class TestRegimeOperator:
         op = grid64.operator(0.3, gamma)
         direct = l2_inner(x, Field(grid64, op.apply(x.values)))
         assert op.quad(x.values) == pytest.approx(direct, rel=1e-12)
+
+
+class TestProjection:
+    """The operator's projection onto the space its problem is posed in."""
+
+    @pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16)])
+    def test_full_norm_projection_changes_nothing(self, dim, points):
+        grid = make_grid(dim, points, 20.0)
+        x = np.random.default_rng(dim).standard_normal(grid.shape) + 1.0
+        op = grid.operator(0.35, 1)
+        xh = op.forward(x)
+        x0, xh0 = x.copy(), xh.copy()
+        got = op.project(x, xh)
+        assert got[0] is x and got[1] is xh
+        assert x.tobytes() == x0.tobytes() and xh.tobytes() == xh0.tobytes()
+
+    @pytest.mark.parametrize("dim,points", [(1, 64), (2, 32), (3, 16)])
+    def test_seminorm_projection_removes_the_mean_in_place(self, dim, points):
+        grid = make_grid(dim, points, 20.0)
+        x = np.random.default_rng(dim).standard_normal(grid.shape) + 1.0
+        op = grid.operator(0.35, 0)
+        xh = op.forward(x)
+        want, xh0 = x - x.mean(), xh.copy()
+        got = op.project(x, xh)
+        assert got[0] is x and got[1] is xh
+        assert x.tobytes() == want.tobytes()
+        assert xh.flat[0] == 0 and xh.flat[1:].tobytes() == xh0.flat[1:].tobytes()
 
 
 def full_spectrum_reference(grid, s, gamma, x):
