@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field, coupling_terms
+from .options import sequential
 
 __all__ = [
     "EnergyBreakdown",
@@ -82,7 +83,8 @@ def energy_terms(grid, params, u, v, terms, fd, gd, quads=None, scratch=None):
     return EnergyBreakdown(quad, coup, forc)
 
 
-def gradient_hat(grid, params, u, v, terms, fh, gh, out=None, scratch=None, work=None):
+def gradient_hat(grid, params, u, v, terms, fh, gh, out=None, scratch=None, work=None,
+                 both=sequential):
     """Half spectra of the gradient densities of a pair of Iterates with
     ``terms`` = (cu, cv) as in ``energy_terms``, under forcing half spectra
     (fh, gh): the kernel behind ``gradient`` and the solver's loop.
@@ -90,19 +92,25 @@ def gradient_hat(grid, params, u, v, terms, fh, gh, out=None, scratch=None, work
     operator) u - (alpha/p) cu - f; symmetrically for v.
 
     A loop's buffers: ``out``, the pair of gradient spectra; ``scratch``, a
-    real array on the grid for the scaled term; ``work``, a half spectrum
-    for its transform.  Each is allocated when not given.
+    real array on the grid for the scaled term (the terms themselves, to
+    scale them in place); ``work``, a half spectrum for its transform.
+    Each is allocated when not given.  The runner ``both`` (see
+    ``options.lanes``) takes the two components; ``scratch`` and ``work``
+    may be pairs, one per component, and must be when they run at once.
     """
     op = grid.operator(params.s, params.gamma)
     p = params.coupling_exponent
-    grads = []
-    for x, c, w, h, g in zip((u, v), terms, (params.alpha / p, params.beta / p),
-                             (fh, gh), out or (None, None)):
-        g = op.multiply(op.symbol, x.xh, out=g)
-        g -= op.forward(np.multiply(w, c, out=scratch), out=work)
+    out = out or (None, None)
+    scratch, work = (b if isinstance(b, tuple) else (b, b) for b in (scratch, work))
+
+    def component(k, x, w, h):
+        g = op.multiply(op.symbol, x.xh, out=out[k])
+        g -= op.forward(np.multiply(w, terms[k], out=scratch[k]), out=work[k])
         g -= h
-        grads.append(g)
-    return tuple(grads)
+        return g
+
+    return both(lambda: component(0, u, params.alpha / p, fh),
+                lambda: component(1, v, params.beta / p, gh))
 
 
 def energy(u, v, f, g, params):

@@ -62,8 +62,26 @@ def make_forcing(density, params):
     if not np.any(vals > 0):
         raise ValueError("forcing density must not be identically zero")
     op = density.grid.operator(params.s, params.gamma)
+    _check_dual_norm(op, density.grid, float(vals.max()), "density")
     density = Field(density.grid, *op.project(vals.copy()))
     return Functional(density, op.dual_norm(density.values), params.s, params.gamma)
+
+
+def _check_dual_norm(op, grid, peak, what):
+    """Refuse a density of height at most ``peak`` on ``grid`` unless every
+    intermediate of its dual norm, and of the plain L2 form of its spectrum,
+    stays in the double range.  For ``form`` of the spectrum with a
+    multiplier M: each coefficient is at most N * peak (the sum of |x| over
+    the N points, which also bounds the mean the projection takes), its
+    squared modulus at most that squared, times M at most max M, and the
+    Hermitian-weighted sums at most that times the cell volume, which the
+    weights sum to.  The bound is taken in Python floats, which overflow to
+    inf without a warning, before any array work."""
+    coef = grid.num_points * peak
+    square = coef * coef
+    weighted = square * max(1.0, float(op.inverse.max()))
+    if not all(x <= sys.float_info.max for x in (coef, square, weighted, weighted * grid.cell_volume)):
+        raise ConfigError(f"{what} of height {peak:.6g}: its dual norm on this grid overflows")
 
 
 def scale_functional(f, factor):
@@ -79,13 +97,18 @@ def scale_functional(f, factor):
 
 
 def scale_to_norm(f, target):
-    """Rescale so the dual norm of the forcing's regime equals ``target``."""
+    """Rescale so the dual norm of the forcing's regime equals ``target``;
+    a target whose density's dual norm would overflow raises ConfigError."""
     if target <= 0:
         raise ValueError("target norm must be positive")
     current = f.norm
     if current == 0:
         raise ValueError("cannot rescale a functional with zero norm")
-    return scale_functional(f, target / current)
+    factor = target / current
+    values = f.density.values
+    peak = max(float(values.max()), -float(values.min())) * factor
+    _check_dual_norm(f.grid.operator(f.s, f.gamma), f.grid, peak, f"forcing scaled to norm {target:.6g}")
+    return scale_functional(f, factor)
 
 
 def riesz_representer(f):
@@ -141,6 +164,8 @@ def mode_density(grid, k=1, amplitude=1.0):
     """
     if amplitude <= 0:
         raise ConfigError("amplitude must be positive")
+    if not 2.0 * amplitude <= sys.float_info.max:
+        raise ConfigError(f"amplitude {amplitude} overflows: the density peaks at twice it")
     k = int(k)
     if not (1 <= k < grid.points_per_axis // 2):
         raise ConfigError("mode number must satisfy 1 <= k < P/2")

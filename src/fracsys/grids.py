@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .options import ConfigError
+from .options import ConfigError, sequential
 
 __all__ = [
     "Grid",
@@ -488,7 +488,7 @@ def pair_norm(u, v, params):
 _FAST_POWERS = {2.0: np.square, 0.5: np.sqrt, 1.0: np.positive, -1.0: np.reciprocal}
 
 
-def pow_plus(values, exponent, out=None):
+def pow_plus(values, exponent, out=None, mask=None):
     """Positive part raised to a power, with the conventions the energy's
     second variation needs at the degenerate set {u <= 0}:
 
@@ -497,9 +497,10 @@ def pow_plus(values, exponent, out=None):
       exponent < 0 : u^exponent on {u > 0}, zero elsewhere
 
     Only the support takes a power: most of a localized profile is at or
-    below zero.  Written into ``out`` when given.
+    below zero.  Written into ``out`` when given, and the support into the
+    boolean array ``mask`` when given.
     """
-    pos = values > 0
+    pos = np.greater(values, 0, out=mask)
     if out is None:
         out = np.zeros(values.shape)
     else:
@@ -512,7 +513,7 @@ def pow_plus(values, exponent, out=None):
     return power(values, out=out, where=pos)
 
 
-def coupling_terms(x, y, a, b, positive_parts=True, out=None, scratch=None):
+def coupling_terms(x, y, a, b, positive_parts=True, out=None, scratch=None, both=sequential):
     """The partial densities of the coupling x^a y^b at raw arrays x, y:
     cu = x_+^(a-1) y_+^b and cv = y_+^(b-1) x_+^a (pow_plus conventions), or
     without positive_parts sign(x)|x|^(a-1)|y|^b and sign(y)|y|^(b-1)|x|^a
@@ -520,14 +521,21 @@ def coupling_terms(x, y, a, b, positive_parts=True, out=None, scratch=None):
     cv = Q (P x), never P Q, which can overflow.  The integrand is cu * x.
 
     ``out`` receives (cu, cv) and ``scratch``, a third array on the grid,
-    holds P; both are allocated when not given.
+    holds P; both are allocated when not given.  The powers' supports go
+    into cu's storage, which the products fill last.  The runner ``both``
+    (see ``options.lanes``) takes the two positive-part powers; the signed
+    ones share cu as scratch and run in turn.
     """
     cu, cv = (np.empty(x.shape), np.empty(x.shape)) if out is None else out
     p, q = np.empty(x.shape) if scratch is None else scratch, cv
-    for base, power, e in ((x, p, a - 1.0), (y, q, b - 1.0)):
-        if positive_parts:
-            pow_plus(base, e, out=power)
-        else:
+    if positive_parts:
+        n = cu.size
+        masks = cu.reshape(-1).view(np.bool_)
+        mp, mq = masks[:n].reshape(x.shape), masks[n : 2 * n].reshape(x.shape)
+        both(lambda: pow_plus(x, a - 1.0, out=p, mask=mp),
+             lambda: pow_plus(y, b - 1.0, out=q, mask=mq))
+    else:
+        for base, power, e in ((x, p, a - 1.0), (y, q, b - 1.0)):
             np.abs(base, out=power)
             power **= e
             power *= np.sign(base, out=cu)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -128,6 +130,76 @@ def descend(point, evaluate, gradient, direction, retract, opts):
             return Descent(point, value, measure, it, False)
         point, value, measure = trial, t_value, t_measure
     return Descent(point, value, measure, opts.max_iter, measure <= opts.tol)
+
+
+def sequential(fa, fb):
+    """Run the two halves of a step in turn: (fa(), fb())."""
+    return fa(), fb()
+
+
+class _Lane:
+    """A worker thread that runs the second half of each step while the
+    caller runs the first.  Two locks hand the task over and back, so the
+    worker sleeps between steps."""
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._result = None
+        self._thread = threading.Thread(target=self._serve, name="fracsys-lane", daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            fn, err = self._task
+            self._task = None
+            try:
+                # numpy's error state is local to each thread
+                with np.errstate(**err):
+                    self._result = fn(), None
+            except BaseException as exc:
+                self._result = None, exc
+            self._done.release()
+
+    def both(self, fa, fb):
+        """(fa(), fb()), fb on the worker.  Waits for the worker before it
+        returns or raises, so neither half outlives the call; an exception
+        of fa wins over one of fb."""
+        self._task = fb, np.geterr()
+        self._go.release()
+        try:
+            a = fa()
+        finally:
+            self._done.acquire()
+            (b, exc), self._result = self._result, None
+        if exc is not None:
+            raise exc
+        return a, b
+
+    def close(self):
+        self._go.release()
+        self._thread.join()
+
+
+@contextmanager
+def lanes(on):
+    """A runner ``both(fa, fb) -> (fa(), fb())`` for steps that come in two
+    independent halves, each writing only its own outputs.  When ``on``,
+    fb runs on a worker thread while the caller runs fa, and the worker is
+    joined on exit; otherwise the halves run in turn.  Either way each half
+    does the same arithmetic, so the results keep their bits."""
+    if not on:
+        yield sequential
+        return
+    lane = _Lane()
+    try:
+        yield lane.both
+    finally:
+        lane.close()
 
 
 class Ritz(NamedTuple):

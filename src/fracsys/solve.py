@@ -17,7 +17,7 @@ import numpy as np
 from .energy import energy_terms, gradient_hat
 from .forcing import riesz_representer, scale_functional
 from .grids import Field, Iterate, coupling_terms, lp_norm, pair_norm
-from .options import ConvergenceError, MinimizeOpts, descend
+from .options import ConvergenceError, MinimizeOpts, descend, lanes, sequential
 
 __all__ = [
     "SolveReport",
@@ -30,6 +30,10 @@ __all__ = [
 
 SOLVER_OPTS = MinimizeOpts(tol=1e-8, max_iter=10000)
 PROJECTION_FRACTION = 0.99
+# grids of at least this many points run the solver's u and v halves on two
+# threads; on smaller ones the handoffs cost more than the halves take
+# (the crossover is in CHANGES.md)
+_LANES_FROM = 256 * 256
 
 
 @dataclass(frozen=True)
@@ -70,10 +74,13 @@ class SolveReport:
         }
 
 
-def _grad_l2(op, grad, scratch=None):
+def _grad_l2(op, grad, halves, both=sequential):
     """Termination norm: the L2 norm of the gradient densities, from their
-    half spectra (discrete Parseval)."""
-    return float(np.sqrt(sum(op.form(gh, scratch=scratch) for gh in grad)))
+    half spectra (discrete Parseval), each squared into its own pair of
+    ``halves``."""
+    forms = both(lambda: op.form(grad[0], scratch=halves[0]),
+                 lambda: op.form(grad[1], scratch=halves[1]))
+    return float(np.sqrt(sum(forms)))
 
 
 def _norm(quads):
@@ -81,21 +88,26 @@ def _norm(quads):
     return float(np.sqrt(max(sum(quads), 0.0)))
 
 
-def _step(op, u, v, du, dv, tau, r, out, halves):
+def _step(op, u, v, du, dv, tau, r, out, halves, both):
     """Move the pair of Iterates by tau along the descent direction into the
     pair ``out``, projecting it back onto the ball of radius
     PROJECTION_FRACTION * r if it leaves.  Returns the new pair, whether it
     was projected, and its two quad_hat values, which give its energy's
-    quadratic term and its norm."""
-    un, vn = u.step(tau, du, out[0]), v.step(tau, dv, out[1])
-    quads = (op.quad_hat(un.xh, halves), op.quad_hat(vn.xh, halves))
+    quadratic term and its norm.  ``both`` runs the u and v halves, each
+    squaring into its own pair of ``halves``."""
+
+    def moved(k, x, d):
+        xn = x.step(tau, d, out[k])
+        return xn, op.quad_hat(xn.xh, halves[k])
+
+    (un, qu), (vn, qv) = both(lambda: moved(0, u, du), lambda: moved(1, v, dv))
+    quads = (qu, qv)
     nrm = _norm(quads)
     projected = nrm > PROJECTION_FRACTION * r
     if projected:
         sc = PROJECTION_FRACTION * r / nrm
-        un.scale(sc)
-        vn.scale(sc)
-        quads = (op.quad_hat(un.xh, halves), op.quad_hat(vn.xh, halves))
+        quads = both(lambda: op.quad_hat(un.scale(sc).xh, halves[0]),
+                     lambda: op.quad_hat(vn.scale(sc).xh, halves[1]))
     return un, vn, projected, quads
 
 
@@ -120,9 +132,18 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
     After setup the loop allocates no array on the grid: every one of an
     iteration is written into buffers this call owns, with the lifetimes
     ``descend`` fixes.  The point and the trial alternate between two
-    pairs; the coupling terms and their scratch serve each trial in turn;
-    the gradient spectra become the direction's spectra in place; and one
-    half spectrum is the work array of every transform and quadratic form.
+    pairs; the coupling terms and their scratch serve each trial in turn,
+    and the gradient scales the terms in place; the gradient spectra become
+    the direction's spectra in place.  One half spectrum is the u half's
+    work array for every transform and quadratic form, and its storage the
+    evaluation's scratch.  The v half's work array lives in a dead block:
+    the direction's pair of real arrays during the gradient's transforms,
+    the terms' pair from the gradient's norm to the next evaluation.
+
+    On a grid of at least _LANES_FROM points the u and v halves of each
+    step run at once, v on a worker thread (``options.lanes``) that lives
+    as long as the loop; each half does the same arithmetic into its own
+    outputs either way, so the result keeps its bits.
     """
     grid, params = constants.grid, constants.params
     for h in (f, g):
@@ -174,10 +195,17 @@ def solve_system(f, g, constants, opts=SOLVER_OPTS, start=None):
     )
 
 
+def _spectrum_in(block, like):
+    """A half spectrum of the shape of ``like`` in the storage of the real
+    array ``block``, which holds at least as many bytes."""
+    return block.reshape(-1).view(complex)[: like.size].reshape(like.shape)
+
+
 def _descend_pair(grid, params, f, g, r, start, opts):
     """The solver's descent from ``start`` or (0, 0); returns the Descent,
     its point's pair as Fields, and the trace rows of its accepted points.
-    The loop's buffers die with this call."""
+    The loop's buffers, and the worker thread of a large grid, die with
+    this call."""
     op = grid.operator(params.s, params.gamma)
     fd, gd = f.density.values, g.density.values
     f_hat, g_hat = op.forward(fd), op.forward(gd)
@@ -191,46 +219,55 @@ def _descend_pair(grid, params, f, g, r, start, opts):
         for x in pair:
             op.project(*x)
     generations = (pair, [x.empty_like() for x in pair])
-    terms_out = (np.empty(grid.shape), np.empty(grid.shape))
+    # each pair of real arrays is one block, so that the v half's work
+    # spectrum can be a view of whichever block is dead (see solve_system)
+    terms_out, steps = np.empty((2, *grid.shape)), np.empty((2, *grid.shape))
     grads = (np.empty_like(pair[0].xh), np.empty_like(pair[0].xh))
-    steps = (np.empty(grid.shape), np.empty(grid.shape))
     work = np.empty_like(pair[0].xh)
-    halves = op.real_halves(work)
+    works = (work, _spectrum_in(terms_out, work))
+    halves = tuple(op.real_halves(w) for w in works)
+    grad_works = (work, _spectrum_in(steps, work))
     # an evaluation runs no transform or form, so its real scratch can live
-    # in the work spectrum's storage; a gradient's is the spent direction's
+    # in the work spectrum's storage
     scratch = work.reshape(-1).view(np.float64)[: grid.num_points].reshape(grid.shape)
-
-    def evaluate(point):
-        u, v, _, quads = point
-        terms = coupling_terms(u.x, v.x, params.alpha, params.beta, out=terms_out, scratch=scratch)
-        return energy_terms(grid, params, u, v, terms, fd, gd, quads, scratch).total, terms
-
     rows = []
 
-    def gradient(point, E, terms):
-        u, v, _, quads = point
-        # less the zero mode at gamma=0, which the mean-zero problem
-        # cannot control
-        grad = op.project(*gradient_hat(grid, params, u, v, terms, f_hat, g_hat,
-                                        out=grads, scratch=steps[0], work=work))
-        gn = _grad_l2(op, grad, halves)
-        rows.append((E, gn, _norm(quads) / r))
-        return grad, gn
+    with lanes(grid.num_points >= _LANES_FROM) as both:
 
-    def direction(point, grad):
-        slope = sum(op.form(gh, op.inverse, halves) for gh in grad)
-        for gh, x in zip(grad, steps):
-            op.backward(op.multiply(op.inverse, gh, out=gh, scratch=work), out=x, work=work)
-        return tuple(Iterate(x, gh) for x, gh in zip(steps, grad)), slope
+        def evaluate(point):
+            u, v, _, quads = point
+            terms = coupling_terms(u.x, v.x, params.alpha, params.beta, out=terms_out,
+                                   scratch=scratch, both=both)
+            return energy_terms(grid, params, u, v, terms, fd, gd, quads, scratch).total, terms
 
-    def retract(point, ds, tau):
-        u, v = point[:2]
-        out = generations[1] if u is generations[0][0] else generations[0]
-        return _step(op, u, v, *ds, tau, r, out, halves)
+        def gradient(point, E, terms):
+            u, v, _, quads = point
+            # the terms are scaled in place; less the zero mode at gamma=0,
+            # which the mean-zero problem cannot control
+            grad = op.project(*gradient_hat(grid, params, u, v, terms, f_hat, g_hat, out=grads,
+                                            scratch=terms, work=grad_works, both=both))
+            gn = _grad_l2(op, grad, halves, both)
+            rows.append((E, gn, _norm(quads) / r))
+            return grad, gn
 
-    u, v = pair
-    quads = (op.quad_hat(u.xh, halves), op.quad_hat(v.xh, halves))
-    res = descend((u, v, False, quads), evaluate, gradient, direction, retract, opts)
+        def direction(point, grad):
+            def half(k):
+                gh, w = grad[k], works[k]
+                slope = op.form(gh, op.inverse, halves[k])
+                op.backward(op.multiply(op.inverse, gh, out=gh, scratch=w), out=steps[k], work=w)
+                return slope
+
+            slopes = both(lambda: half(0), lambda: half(1))
+            return tuple(Iterate(x, gh) for x, gh in zip(steps, grad)), sum(slopes)
+
+        def retract(point, ds, tau):
+            u, v = point[:2]
+            out = generations[1] if u is generations[0][0] else generations[0]
+            return _step(op, u, v, *ds, tau, r, out, halves, both)
+
+        u, v = pair
+        quads = both(lambda: op.quad_hat(u.xh, halves[0]), lambda: op.quad_hat(v.xh, halves[1]))
+        res = descend((u, v, False, quads), evaluate, gradient, direction, retract, opts)
     # the fields are copied out while the buffers are held, so the buffers
     # are freed below them and the next arrays reuse their pages
     u, v, projected, quads = res.point
@@ -254,7 +291,8 @@ def residual(u, v, f, g, params):
     work = np.empty_like(x.xh)
     grad = op.project(*gradient_hat(u.grid, params, x, y, terms, f_hat, g_hat,
                                     scratch=scratch, work=work))
-    return _grad_l2(op, grad, op.real_halves(work))
+    halves = op.real_halves(work)
+    return _grad_l2(op, grad, (halves, halves))
 
 
 def positivity_check(report):

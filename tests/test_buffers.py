@@ -174,34 +174,64 @@ def test_ground_state_loop_allocates_no_grid_sized_block(monkeypatch):
     assert max(rises.rises[1:]) < 8 * grid.num_points, rises.rises
 
 
-@pytest.mark.parametrize("gamma", [1, 0])
-def test_solve_loop_allocates_no_grid_sized_block(gamma, monkeypatch):
-    solve_mod = importlib.import_module("fracsys.solve")
-    grid = make_grid(2, 64, 20.0)
-    params = _params(gamma)
+def _solve_problem(grid, params):
     constants = measure_constants(grid, params)
     f = scale_to_norm(make_forcing(gaussian_density(grid, width=2.0), params),
                       0.5 * constants.threshold)
-    block = 8 * grid.num_points
-    counts = []
+    return constants, f
+
+
+def _solve_rises(monkeypatch, constants, f, tol, lanes_on=None):
+    """A solve's traced-memory rises, one per evaluated point, the first
+    spanning the setup; lanes forced on or off unless ``lanes_on`` is None."""
+    solve_mod = importlib.import_module("fracsys.solve")
+    if lanes_on is not None:
+        monkeypatch.setattr(solve_mod, "_LANES_FROM", 0 if lanes_on else 2**62)
     energy = solve_mod.energy_terms
+    rises = _Rises()
+
+    def marked(*args):
+        rises.mark()
+        return energy(*args)
+
+    monkeypatch.setattr(solve_mod, "energy_terms", marked)
+    try:
+        rep = solve_system(f, f, constants, MinimizeOpts(tol=tol))
+    finally:
+        rises.stop()
+        monkeypatch.setattr(solve_mod, "energy_terms", energy)
+    return rep, rises.rises
+
+
+def _assert_solve_loop_allocates_no_block(monkeypatch, gamma, lanes_on=None):
+    constants, f = _solve_problem(make_grid(2, 64, 20.0), _params(gamma))
+    block = 8 * constants.grid.num_points
+    counts = []
     for tol in (1e-5, 1e-10):
-        rises = _Rises()
-
-        def marked(*args):
-            rises.mark()
-            return energy(*args)
-
-        monkeypatch.setattr(solve_mod, "energy_terms", marked)
-        try:
-            rep = solve_system(f, f, constants, MinimizeOpts(tol=tol))
-        finally:
-            rises.stop()
+        rep, rises = _solve_rises(monkeypatch, constants, f, tol, lanes_on)
         counts.append(rep.iterations)
         # one mark per evaluated point; the first rise is the setup
-        assert len(rises.rises) > rep.iterations
-        assert max(rises.rises[1:]) < block, rises.rises
+        assert len(rises) > rep.iterations
+        assert max(rises[1:]) < block, rises
     assert counts[0] < counts[1]
+
+
+@pytest.mark.parametrize("gamma", [1, 0])
+def test_solve_loop_allocates_no_grid_sized_block(gamma, monkeypatch):
+    _assert_solve_loop_allocates_no_block(monkeypatch, gamma)
+
+
+@pytest.mark.parametrize("gamma", [1, 0])
+def test_solve_loop_on_two_lanes_allocates_no_grid_sized_block(gamma, monkeypatch):
+    _assert_solve_loop_allocates_no_block(monkeypatch, gamma, lanes_on=True)
+
+
+def test_solve_setup_on_two_lanes_holds_no_more(monkeypatch):
+    # the v half's work spectrum lives in the dead block of the terms or the
+    # steps, so the lanes add no array to the loop's setup
+    constants, f = _solve_problem(make_grid(3, 32, 20.0), SystemParams(3, 0.5, 1.8, 1.2, 0))
+    setup = {on: _solve_rises(monkeypatch, constants, f, 1e-8, on)[1][0] for on in (False, True)}
+    assert setup[True] <= setup[False] + 64 * 1024, setup
 
 
 def test_threads_share_a_grid():

@@ -1,13 +1,18 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracsys import Field, load_field, make_grid, save_field
 from fracsys import cli
@@ -864,6 +869,12 @@ class TestExitContract:
         # widths whose r^2 / (2 w^2) overflows though their square is normal
         "f_width=2e-154": ("f_width = 2e-154", {"solve": EXIT_CONFIG}),
         "g_width=2e-154": ("g_width = 2e-154", {"solve": EXIT_CONFIG}),
+        # densities, or forcings scaled to a fraction of d, whose dual norm
+        # or peak overflows
+        "f_amplitude=1e300": ("f_amplitude = 1e300", {"solve": EXIT_CONFIG}),
+        "g_amplitude=1e300": ("g_amplitude = 1e300", {"solve": EXIT_CONFIG}),
+        "f_mode-amplitude=1e308": ("f_kind = mode\nf_amplitude = 1e308", {"solve": EXIT_CONFIG}),
+        "g_fraction_of_d=1e300": ("g_fraction_of_d = 1e300", {"solve": EXIT_CONFIG}),
         # numerical failures: one iteration cannot meet a zero tolerance
         "tol=0,max_iter=1": (
             "tol = 0\nmax_iter = 1",
@@ -924,6 +935,47 @@ class TestExitContract:
                 code = self._run(tmp_path, regime, command, f"box_length = {length}")
             want = (EXIT_CONFIG,) if command == self.REFUSED[regime] else (EXIT_OK, EXIT_NUMERICAL)
             assert code in want and caught == [], (command, code, capsys.readouterr().err)
+
+
+# values an edit may set any key to: edge numbers, non-numbers and strings
+# that no key parses.  No pool value makes a grid above 64 points per axis,
+# a 3-D grid above 16 (the draw is refused below) or max_iter above 50
+EDIT_VALUES = (
+    "0", "1", "-1", "2", "3", "16", "0.5", "5e-324", "1e-300", "2e-154", "1e300",
+    repr(sys.float_info.max), "nan", "inf", "-inf", "abc",
+)
+EDIT_KEYS = tuple(k for k in cli.ExperimentConfig.__dataclass_fields__ if k != "output")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(
+    command=st.sampled_from(TestExitContract.COMMANDS),
+    regime=st.sampled_from(list(TestExitContract.REGIMES)),
+    edits=st.lists(st.tuples(st.sampled_from(EDIT_KEYS), st.sampled_from(EDIT_VALUES)),
+                   min_size=1, max_size=2),
+)
+def test_exit_contract_holds_for_drawn_edits(command, regime, edits):
+    # one or two edits of a 1-D P=64 config: main returns 0, 1 or 2, lets
+    # no exception out, raises no warning, and explains a refusal
+    values = dict(edits)
+    dimension, points = values.get("dimension", "1"), values.get("grid_size", "64")
+    assume(not (dimension == "3" and points == "64"))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "run.cfg"
+        lines = [f"{key} = {value}" for key, value in edits]
+        cfg_file.write_text(
+            f"grid_size = 64\nbox_length = 40\nmax_iter = 50\n{TestExitContract.REGIMES[regime]}"
+            f"output = {Path(tmp) / 'out'}\n" + "\n".join(lines) + "\n"
+        )
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(cfg_file)])
+    assert code in (EXIT_OK, EXIT_NUMERICAL, EXIT_CONFIG)
+    assert caught == [], [str(w.message) for w in caught]
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("config error: "), err.getvalue()
 
 
 class TestEntryPoint:

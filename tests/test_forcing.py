@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,17 @@ class TestScaleToNorm:
         with pytest.raises(ValueError):
             scale_to_norm(f, 0.0)
 
+    @pytest.mark.parametrize("target", [1e160, 1e300, float("inf")])
+    def test_rejects_target_whose_dual_norm_overflows(self, sub_setup, target):
+        # refused before any array work, so without a warning
+        grid, params = sub_setup
+        f = make_forcing(gaussian_density(grid, width=2.0), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="dual norm on this grid overflows"):
+                scale_to_norm(f, target)
+        assert scale_to_norm(f, 1e140).norm == pytest.approx(1e140, rel=1e-12)
+
 
 class TestDuality:
     def test_pairing_bounded_by_dual_norms(self, sub_setup):
@@ -182,6 +195,26 @@ class TestConstructors:
                 gaussian_density(grid, center=[center], width=below)
             d = gaussian_density(grid, center=[center], width=above)
             assert d.values.max() == 1.0 and np.count_nonzero(d.values) == 1
+
+    def test_amplitude_whose_dual_norm_overflows_rejected(self, sub_setup):
+        grid, params = sub_setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="dual norm on this grid overflows"):
+                make_forcing(gaussian_density(grid, width=2.0, amplitude=1e300), params)
+            with pytest.raises(ConfigError, match="peaks at twice it"):
+                mode_density(grid, amplitude=1e308)
+        assert make_forcing(mode_density(grid, amplitude=1e140), params).norm > 0
+
+    def test_box_whose_dual_norm_overflows_rejected(self):
+        # a unit Gaussian on a 3-D critical box of 1e100: the cell volume
+        # times the inverse at the lowest frequency overflows in the form
+        grid = make_grid(3, 16, 1e100)
+        params = SystemParams(3, 0.5, 1.8, 1.2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="dual norm on this grid overflows"):
+                make_forcing(gaussian_density(grid, width=2.0), params)
 
     def test_mode_range_validated(self, sub_setup):
         grid, _ = sub_setup
